@@ -372,8 +372,10 @@ mod tests {
     use crate::dataset::Scale;
     use seqdb_sql::DatabaseSqlExt;
 
-    fn small_dge() -> DgeDataset {
-        let d = std::env::temp_dir().join(format!("seqdb-imp-{}", std::process::id()));
+    /// A fresh dataset in a directory of its own: tests run in parallel
+    /// and each removes its directory when done.
+    fn small_dge(tag: &str) -> DgeDataset {
+        let d = std::env::temp_dir().join(format!("seqdb-imp-{}-{tag}", std::process::id()));
         let _ = std::fs::remove_dir_all(&d);
         DgeDataset::generate(
             &d,
@@ -389,7 +391,7 @@ mod tests {
 
     #[test]
     fn normalized_import_row_counts_match_dataset() {
-        let ds = small_dge();
+        let ds = small_dge("normalized");
         let db = Database::in_memory();
         import_dge_normalized(&db, "", Compression::Row, &ds).unwrap();
         assert_eq!(
@@ -416,7 +418,7 @@ mod tests {
 
     #[test]
     fn file_image_and_filestream_imports() {
-        let ds = small_dge();
+        let ds = small_dge("file_image");
         let db = Database::in_memory();
         import_dge_file_image(&db, "", Compression::None, &ds).unwrap();
         import_filestream(&db, "", &ds.fastq_path, 855, 1).unwrap();

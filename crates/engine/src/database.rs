@@ -88,8 +88,8 @@ pub struct DbConfig {
     pub admission_queue_slots: usize,
     /// Join algorithm selection (`SET JOIN_STRATEGY`).
     pub join_strategy: JoinStrategy,
-    /// Rows per batch on the vectorized execution path
-    /// (`SET BATCH_SIZE`); 0 forces row-at-a-time execution.
+    /// Rows per batch (`SET BATCH_SIZE`, at least 1; 1 runs queries
+    /// row-at-a-time).
     pub batch_size: usize,
     /// Slow-statement threshold (`SET SLOW_QUERY_MS`, server-wide):
     /// statements running at least this long emit a `slow_statement`
@@ -408,10 +408,11 @@ impl Database {
         self.config.write().join_strategy = strategy;
     }
 
-    /// Rows per batch on the vectorized path applied to every subsequent
-    /// query; 0 forces row-at-a-time. Same knob as `SET BATCH_SIZE`.
-    pub fn set_batch_size(&self, rows: usize) {
-        self.config.write().batch_size = rows;
+    /// Rows per batch applied to every subsequent query; 1 runs them
+    /// row-at-a-time. Same knob as `SET BATCH_SIZE`; 0 fails typed.
+    pub fn set_batch_size(&self, rows: usize) -> Result<()> {
+        self.config.write().batch_size = ExecContext::check_batch_size(rows)?;
+        Ok(())
     }
 
     /// Size (KiB) of the global admission pool; `None` disables
@@ -484,14 +485,14 @@ impl Database {
         })
     }
 
-    /// Run a plan and insert its output into `table`.
+    /// Run a plan and insert its output into `table`, one batch at a
+    /// time.
     pub fn run_insert(&self, table: &Arc<Table>, plan: &Plan) -> Result<QueryResult> {
         let ctx = self.exec_context();
         let mut it = plan.open(&ctx)?;
         let mut n = 0u64;
-        while let Some(row) = it.next()? {
-            table.insert(&row)?;
-            n += 1;
+        while let Some(batch) = it.next_batch(ctx.batch_size)? {
+            n += table.insert_many(batch.iter())?;
         }
         Ok(QueryResult {
             schema: Arc::new(Schema::empty()),

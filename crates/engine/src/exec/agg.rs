@@ -18,7 +18,7 @@ use seqdb_storage::{SpillTally, WaitClass};
 use seqdb_types::{DbError, Result, Row, Value};
 
 use crate::exec::rowser;
-use crate::exec::{BoxedIter, ExecContext, RowBatch, RowIterator};
+use crate::exec::{fill_batch, BoxedIter, ExecContext, RowBatch, RowCursor, RowIterator};
 use crate::expr::Expr;
 use crate::governor::{MemCharge, QueryGovernor};
 use crate::udx::{protect, AggState, Aggregate};
@@ -79,7 +79,7 @@ impl AggSpec {
     /// Batched counterpart of [`AggSpec::update`]: fold a whole run of
     /// rows into one state under a *single* panic guard, reusing one
     /// argument scratch. The per-row `catch_unwind` and argument `Vec`
-    /// are exactly what the vectorized path amortizes away.
+    /// are exactly what batch execution amortizes away.
     fn update_run(&self, state: &mut Box<dyn AggState>, batch: &RowBatch) -> Result<()> {
         if self.args.is_empty() {
             // Argument-free runs collapse to one accumulator call
@@ -139,35 +139,6 @@ pub fn group_key(group_exprs: &[Expr], row: &Row) -> Result<Vec<Value>> {
     group_exprs.iter().map(|e| e.eval(row)).collect()
 }
 
-/// Build and run a hash-aggregation over an entire input, returning the
-/// grouped states. Shared by the parallel partial plan in
-/// [`crate::parallel`] and the recursion base of the governed serial
-/// operator. New groups are charged against `charge`; with no spill path
-/// here, exhaustion fails with [`DbError::ResourceExhausted`]. The caller
-/// keeps `charge` alive for as long as the returned map exists.
-pub fn aggregate_into_map(
-    input: &mut dyn RowIterator,
-    group_exprs: &[Expr],
-    aggs: &[AggSpec],
-    charge: &mut MemCharge,
-) -> Result<GroupedStates> {
-    let mut groups: GroupedStates = HashMap::new();
-    while let Some(row) = input.next()? {
-        let key = group_key(group_exprs, &row)?;
-        let states = match groups.entry(key) {
-            std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-            std::collections::hash_map::Entry::Vacant(e) => {
-                charge.grow(group_cost(e.key(), aggs.len()))?;
-                e.insert(create_states(aggs)?)
-            }
-        };
-        for (spec, state) in aggs.iter().zip(states.iter_mut()) {
-            spec.update(state, &row)?;
-        }
-    }
-    Ok(groups)
-}
-
 /// Merge a partial aggregation map into an accumulator map (the "final"
 /// side of a parallel aggregate). UDA `Merge` runs under panic
 /// protection; `aggs` supplies the function names for error reporting.
@@ -185,16 +156,6 @@ pub fn merge_maps(into: &mut GroupedStates, from: GroupedStates, aggs: &[AggSpec
         }
     }
     Ok(())
-}
-
-/// Turn a finished group map into output rows (group values then
-/// aggregate results). UDA `Terminate` runs under panic protection.
-pub fn finish_map(groups: GroupedStates, aggs: &[AggSpec]) -> Result<Vec<Row>> {
-    let mut out = Vec::with_capacity(groups.len());
-    for (key, states) in groups {
-        out.push(finish_group(key, states, aggs)?);
-    }
-    Ok(out)
 }
 
 /// Hash a group key for spill partitioning. `depth` salts the hash so
@@ -240,8 +201,8 @@ impl SpillRowIter {
     }
 }
 
-impl RowIterator for SpillRowIter {
-    fn next(&mut self) -> Result<Option<Row>> {
+impl SpillRowIter {
+    pub(crate) fn next_row(&mut self) -> Result<Option<Row>> {
         let mut lenbuf = [0u8; 4];
         if !self.reader.read_exact(&mut lenbuf)? {
             return Ok(None);
@@ -253,6 +214,12 @@ impl RowIterator for SpillRowIter {
         }
         let mut pos = 0;
         Ok(Some(rowser::read_row(&self.payload, &mut pos)?))
+    }
+}
+
+impl RowIterator for SpillRowIter {
+    fn next_batch(&mut self, max_rows: usize) -> Result<Option<RowBatch>> {
+        fill_batch(max_rows, || self.next_row())
     }
 }
 
@@ -388,14 +355,14 @@ impl OutputRows {
 }
 
 impl RowIterator for OutputRows {
-    fn next(&mut self) -> Result<Option<Row>> {
-        if let Some(row) = self.in_mem.next() {
-            return Ok(Some(row));
-        }
-        match self.spilled.as_mut() {
-            Some(s) => s.next(),
-            None => Ok(None),
-        }
+    fn next_batch(&mut self, max_rows: usize) -> Result<Option<RowBatch>> {
+        fill_batch(max_rows, || match self.in_mem.next() {
+            Some(row) => Ok(Some(row)),
+            None => match self.spilled.as_mut() {
+                Some(s) => s.next_row(),
+                None => Ok(None),
+            },
+        })
     }
 }
 
@@ -414,10 +381,10 @@ impl ChainRows {
 }
 
 impl RowIterator for ChainRows {
-    fn next(&mut self) -> Result<Option<Row>> {
+    fn next_batch(&mut self, max_rows: usize) -> Result<Option<RowBatch>> {
         while let Some(part) = self.parts.get_mut(self.idx) {
-            if let Some(row) = part.next()? {
-                return Ok(Some(row));
+            if let Some(batch) = part.next_batch(max_rows)? {
+                return Ok(Some(batch));
             }
             self.idx += 1;
         }
@@ -432,25 +399,10 @@ impl RowIterator for ChainRows {
 /// serialized form). After the input drains, in-memory groups are
 /// emitted, their memory released, and each partition is aggregated
 /// recursively with a re-salted hash. This is the hybrid-hash analogue
-/// of SQL Server's Hash Match spilling to tempdb.
-pub fn aggregate_governed(
-    input: &mut dyn RowIterator,
-    group_exprs: &[Expr],
-    aggs: &[AggSpec],
-    ctx: &ExecContext,
-) -> Result<Vec<Row>> {
-    let mut it = aggregate_governed_rows(input, group_exprs, aggs, ctx)?;
-    let mut rows = Vec::new();
-    while let Some(row) = it.next()? {
-        rows.push(row);
-    }
-    Ok(rows)
-}
-
-/// Like [`aggregate_governed`] but keeps the finished rows inside their
-/// governed [`OutputRows`] stream: the in-memory prefix stays charged
-/// against the budget and the overflow streams from its spill file,
-/// instead of collecting everything into an unaccounted `Vec`.
+/// of SQL Server's Hash Match spilling to tempdb. The finished rows stay
+/// inside their governed [`OutputRows`] stream: the in-memory prefix
+/// stays charged against the budget and the overflow streams from its
+/// spill file.
 pub(crate) fn aggregate_governed_rows(
     input: &mut dyn RowIterator,
     group_exprs: &[Expr],
@@ -487,7 +439,7 @@ pub(crate) fn aggregate_level(
         &mut charge,
         &ctx.temp,
         &ctx.spill_tallies(),
-        Some(&ctx.gov),
+        &ctx.gov,
         None,
         depth,
         ctx.batch_size,
@@ -532,12 +484,11 @@ pub(crate) fn aggregate_partial_spilling(
     charge: &mut MemCharge,
     temp: &Arc<TempSpace>,
     tallies: &[Arc<SpillTally>],
-    gov: Option<&Arc<QueryGovernor>>,
+    gov: &QueryGovernor,
     cap: Option<usize>,
     depth: u32,
-    batch_hint: usize,
+    batch_size: usize,
 ) -> Result<(GroupedStates, Vec<Option<SpillWriter>>)> {
-    let mut ticker = crate::governor::Ticker::new();
     let mut groups: GroupedStates = HashMap::new();
     // Once the budget rejects one group, *all* further new groups go to
     // the spill. Without this the budget could free up mid-stream and
@@ -546,84 +497,60 @@ pub(crate) fn aggregate_partial_spilling(
     let mut spilling = false;
     let mut partitions: Vec<Option<SpillWriter>> = (0..SPILL_PARTITIONS).map(|_| None).collect();
 
-    // With a batch hint the input is consumed through the batch protocol
-    // — one governor tick per batch instead of per row; `batch_hint == 0`
-    // keeps the scalar pull (forced row-at-a-time mode).
-    let mut buf = Vec::new().into_iter();
-    loop {
-        let row = if batch_hint > 0 {
-            match buf.next() {
-                Some(row) => row,
-                None => {
-                    let Some(batch) = input.next_batch(batch_hint)? else {
-                        break;
-                    };
-                    if let Some(gov) = gov {
-                        ticker.tick_batch(gov)?;
-                    }
-                    // No grouping: the whole run belongs to the single
-                    // global group, so probe the map and enter the panic
-                    // guard once per batch instead of once per row. The
-                    // batch is consumed through its selection vector, so
-                    // filtered-out rows are never compacted or moved.
-                    if group_exprs.is_empty() && !spilling {
-                        let cost = group_cost(&[], aggs.len());
-                        let admitted = groups.contains_key(&Vec::new())
-                            || (cap.is_none_or(|c| charge.bytes() + cost <= c)
-                                && charge.try_grow(cost));
-                        if admitted {
-                            let states = match groups.entry(Vec::new()) {
-                                std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-                                std::collections::hash_map::Entry::Vacant(e) => {
-                                    e.insert(create_states(aggs)?)
-                                }
-                            };
-                            for (spec, state) in aggs.iter().zip(states.iter_mut()) {
-                                spec.update_run(state, &batch)?;
-                            }
-                            continue;
-                        }
-                    }
-                    buf = batch.into_rows().into_iter();
-                    continue;
+    // One full cooperative check per input batch: spill partitions are
+    // read back outside any governed operator boundary.
+    while let Some(batch) = input.next_batch(batch_size)? {
+        gov.check_deadline()?;
+        // No grouping: the whole run belongs to the single global group,
+        // so probe the map and enter the panic guard once per batch
+        // instead of once per row. The batch is consumed through its
+        // selection vector, so filtered-out rows are never compacted or
+        // moved.
+        if group_exprs.is_empty() && !spilling {
+            let cost = group_cost(&[], aggs.len());
+            let admitted = groups.contains_key(&Vec::new())
+                || (cap.is_none_or(|c| charge.bytes() + cost <= c) && charge.try_grow(cost));
+            if admitted {
+                let states = match groups.entry(Vec::new()) {
+                    std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
+                    std::collections::hash_map::Entry::Vacant(e) => e.insert(create_states(aggs)?),
+                };
+                for (spec, state) in aggs.iter().zip(states.iter_mut()) {
+                    spec.update_run(state, &batch)?;
                 }
+                continue;
             }
-        } else {
-            let Some(row) = input.next()? else {
-                break;
-            };
-            if let Some(gov) = gov {
-                ticker.tick(gov)?;
-            }
-            row
-        };
-        let key = group_key(group_exprs, &row)?;
-        if let Some(states) = groups.get_mut(&key) {
-            for (spec, state) in aggs.iter().zip(states.iter_mut()) {
-                spec.update(state, &row)?;
-            }
-            continue;
         }
-        let cost = group_cost(&key, aggs.len());
-        if !spilling && cap.is_none_or(|c| charge.bytes() + cost <= c) && charge.try_grow(cost) {
-            let states = groups.entry(key).or_insert(create_states(aggs)?);
-            for (spec, state) in aggs.iter().zip(states.iter_mut()) {
-                spec.update(state, &row)?;
+        for row in batch.into_rows() {
+            let key = group_key(group_exprs, &row)?;
+            if let Some(states) = groups.get_mut(&key) {
+                for (spec, state) in aggs.iter().zip(states.iter_mut()) {
+                    spec.update(state, &row)?;
+                }
+                continue;
             }
-        } else {
-            if depth >= MAX_SPILL_DEPTH {
-                return Err(DbError::ResourceExhausted(format!(
-                    "hash aggregate exceeded its memory budget even after \
-                     {MAX_SPILL_DEPTH} repartition passes"
-                )));
-            }
-            spilling = true;
-            let p = partition_of(&key, depth);
-            if partitions[p].is_none() {
-                partitions[p] = Some(temp.create_spill_tallied(tallies.to_vec())?);
-            }
-            if let Some(writer) = partitions[p].as_mut() {
-                write_spill_row(writer, &row)?;
+            let cost = group_cost(&key, aggs.len());
+            if !spilling && cap.is_none_or(|c| charge.bytes() + cost <= c) && charge.try_grow(cost)
+            {
+                let states = groups.entry(key).or_insert(create_states(aggs)?);
+                for (spec, state) in aggs.iter().zip(states.iter_mut()) {
+                    spec.update(state, &row)?;
+                }
+            } else {
+                if depth >= MAX_SPILL_DEPTH {
+                    return Err(DbError::ResourceExhausted(format!(
+                        "hash aggregate exceeded its memory budget even after \
+                         {MAX_SPILL_DEPTH} repartition passes"
+                    )));
+                }
+                spilling = true;
+                let p = partition_of(&key, depth);
+                if partitions[p].is_none() {
+                    partitions[p] = Some(temp.create_spill_tallied(tallies.to_vec())?);
+                }
+                if let Some(writer) = partitions[p].as_mut() {
+                    write_spill_row(writer, &row)?;
+                }
             }
         }
     }
@@ -645,7 +572,11 @@ fn merge_group(
 
 /// Finish one group into an output row (UDA `Terminate` under panic
 /// protection).
-fn finish_group(key: Vec<Value>, states: Vec<Box<dyn AggState>>, aggs: &[AggSpec]) -> Result<Row> {
+pub(crate) fn finish_group(
+    key: Vec<Value>,
+    states: Vec<Box<dyn AggState>>,
+    aggs: &[AggSpec],
+) -> Result<Row> {
     let mut vals = key;
     for (mut s, spec) in states.into_iter().zip(aggs) {
         vals.push(protect(spec.factory.name(), || s.finish())?);
@@ -653,9 +584,15 @@ fn finish_group(key: Vec<Value>, states: Vec<Box<dyn AggState>>, aggs: &[AggSpec
     Ok(Row::new(vals))
 }
 
+/// The one row a global aggregate (no GROUP BY) yields over empty input:
+/// every aggregate finished from its initial state.
+pub(crate) fn empty_input_row(aggs: &[AggSpec]) -> Result<Row> {
+    finish_group(Vec::new(), create_states(aggs)?, aggs)
+}
+
 /// Blocking hash aggregate. Output order is unspecified (like SQL).
 /// Governed: over-budget runs degrade by spilling to tempspace (see
-/// [`aggregate_governed`]).
+/// [`aggregate_governed_rows`]).
 pub struct HashAggIter {
     input: Option<BoxedIter>,
     group_exprs: Vec<Expr>,
@@ -682,24 +619,19 @@ impl HashAggIter {
 }
 
 impl RowIterator for HashAggIter {
-    fn next(&mut self) -> Result<Option<Row>> {
+    fn next_batch(&mut self, max_rows: usize) -> Result<Option<RowBatch>> {
         if let Some(mut input) = self.input.take() {
             let rows =
                 aggregate_governed_rows(input.as_mut(), &self.group_exprs, &self.aggs, &self.ctx)?;
             if rows.is_empty() && self.group_exprs.is_empty() {
-                // Global aggregate over empty input still yields one row.
-                let mut vals = Vec::new();
-                for a in &self.aggs {
-                    let mut s = a.create_state()?;
-                    vals.push(protect(a.factory.name(), || s.finish())?);
-                }
-                self.output = Some(OutputRows::from_vec(vec![Row::new(vals)]));
+                let row = empty_input_row(&self.aggs)?;
+                self.output = Some(OutputRows::from_vec(vec![row]));
             } else {
                 self.output = Some(rows);
             }
         }
         match self.output.as_mut() {
-            Some(rows) => rows.next(),
+            Some(rows) => rows.next_batch(max_rows),
             None => Ok(None),
         }
     }
@@ -712,7 +644,7 @@ impl RowIterator for HashAggIter {
 type CurrentGroup = (Vec<Value>, Vec<Box<dyn AggState>>);
 
 pub struct StreamAggIter {
-    input: BoxedIter,
+    input: RowCursor,
     group_exprs: Vec<Expr>,
     aggs: Vec<AggSpec>,
     current: Option<CurrentGroup>,
@@ -720,11 +652,6 @@ pub struct StreamAggIter {
     charge: MemCharge,
     done: bool,
     saw_rows: bool,
-    /// Rows per input batch; 0 = scalar pull (forced row-at-a-time).
-    batch_hint: usize,
-    /// Buffered remainder of the current input batch.
-    buf: std::vec::IntoIter<Row>,
-    input_done: bool,
 }
 
 impl StreamAggIter {
@@ -733,44 +660,16 @@ impl StreamAggIter {
         group_exprs: Vec<Expr>,
         aggs: Vec<AggSpec>,
         gov: Arc<QueryGovernor>,
-        batch_hint: usize,
+        batch_size: usize,
     ) -> StreamAggIter {
         StreamAggIter {
-            input,
+            input: RowCursor::new(input, batch_size),
             group_exprs,
             aggs,
             current: None,
             charge: MemCharge::new(gov),
             done: false,
             saw_rows: false,
-            batch_hint,
-            buf: Vec::new().into_iter(),
-            input_done: false,
-        }
-    }
-
-    /// Pull one input row, consuming the child through the batch
-    /// protocol when a batch hint is set — the streaming aggregate's
-    /// output stays row-by-row (one row per group boundary), but its
-    /// *input* side moves in batches.
-    fn pull(&mut self) -> Result<Option<Row>> {
-        if self.batch_hint == 0 {
-            return self.input.next();
-        }
-        loop {
-            if let Some(row) = self.buf.next() {
-                return Ok(Some(row));
-            }
-            if self.input_done {
-                return Ok(None);
-            }
-            match self.input.next_batch(self.batch_hint)? {
-                Some(batch) => self.buf = batch.into_rows().into_iter(),
-                None => {
-                    self.input_done = true;
-                    return Ok(None);
-                }
-            }
         }
     }
 
@@ -782,23 +681,15 @@ impl StreamAggIter {
         self.charge.grow(group_cost(key, self.aggs.len()))?;
         create_states(&self.aggs)
     }
-
-    fn emit(&mut self, key: Vec<Value>, states: Vec<Box<dyn AggState>>) -> Result<Row> {
-        let mut vals = key;
-        for (mut s, spec) in states.into_iter().zip(&self.aggs) {
-            vals.push(protect(spec.factory.name(), || s.finish())?);
-        }
-        Ok(Row::new(vals))
-    }
 }
 
-impl RowIterator for StreamAggIter {
-    fn next(&mut self) -> Result<Option<Row>> {
+impl StreamAggIter {
+    fn next_row(&mut self) -> Result<Option<Row>> {
         if self.done {
             return Ok(None);
         }
         loop {
-            match self.pull()? {
+            match self.input.next_row()? {
                 Some(row) => {
                     self.saw_rows = true;
                     let key = group_key(&self.group_exprs, &row)?;
@@ -819,7 +710,7 @@ impl RowIterator for StreamAggIter {
                         }
                         self.current = Some((key, states));
                         if let Some((okey, ostates)) = prev {
-                            return Ok(Some(self.emit(okey, ostates)?));
+                            return Ok(Some(finish_group(okey, ostates, &self.aggs)?));
                         }
                     }
                 }
@@ -827,20 +718,21 @@ impl RowIterator for StreamAggIter {
                     self.done = true;
                     self.charge.release_all();
                     if let Some((key, states)) = self.current.take() {
-                        return Ok(Some(self.emit(key, states)?));
+                        return Ok(Some(finish_group(key, states, &self.aggs)?));
                     }
                     if !self.saw_rows && self.group_exprs.is_empty() {
-                        let mut vals = Vec::new();
-                        for a in &self.aggs {
-                            let mut s = a.create_state()?;
-                            vals.push(protect(a.factory.name(), || s.finish())?);
-                        }
-                        return Ok(Some(Row::new(vals)));
+                        return Ok(Some(empty_input_row(&self.aggs)?));
                     }
                     return Ok(None);
                 }
             }
         }
+    }
+}
+
+impl RowIterator for StreamAggIter {
+    fn next_batch(&mut self, max_rows: usize) -> Result<Option<RowBatch>> {
+        fill_batch(max_rows, || self.next_row())
     }
 }
 
@@ -886,7 +778,7 @@ mod tests {
             specs(),
             test_context(),
         );
-        let got = normalize(collect(Box::new(it)).unwrap());
+        let got = normalize(collect(Box::new(it), 2).unwrap());
         assert_eq!(got, vec![(1, 2, 40), (2, 2, 10), (3, 1, 1)]);
     }
 
@@ -901,7 +793,7 @@ mod tests {
             QueryGovernor::unlimited(),
             crate::exec::ExecContext::DEFAULT_BATCH_SIZE,
         );
-        let got = normalize(collect(Box::new(it)).unwrap());
+        let got = normalize(collect(Box::new(it), 2).unwrap());
         assert_eq!(got, vec![(1, 2, 40), (2, 2, 10), (3, 1, 1)]);
     }
 
@@ -913,7 +805,7 @@ mod tests {
             specs(),
             test_context(),
         );
-        let out = collect(Box::new(it)).unwrap();
+        let out = collect(Box::new(it), 1).unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(out[0][0], Value::Int(5));
         assert_eq!(out[0][1], Value::Int(51));
@@ -924,21 +816,22 @@ mod tests {
         for blocking in [true, false] {
             let input = Box::new(ValuesIter::new(vec![]));
             let out = if blocking {
-                collect(Box::new(HashAggIter::new(
-                    input,
-                    vec![],
-                    specs(),
-                    test_context(),
-                )))
+                collect(
+                    Box::new(HashAggIter::new(input, vec![], specs(), test_context())),
+                    1024,
+                )
                 .unwrap()
             } else {
-                collect(Box::new(StreamAggIter::new(
-                    input,
-                    vec![],
-                    specs(),
-                    QueryGovernor::unlimited(),
-                    crate::exec::ExecContext::DEFAULT_BATCH_SIZE,
-                )))
+                collect(
+                    Box::new(StreamAggIter::new(
+                        input,
+                        vec![],
+                        specs(),
+                        QueryGovernor::unlimited(),
+                        crate::exec::ExecContext::DEFAULT_BATCH_SIZE,
+                    )),
+                    1,
+                )
                 .unwrap()
             };
             assert_eq!(out.len(), 1);
@@ -955,7 +848,7 @@ mod tests {
             specs(),
             test_context(),
         );
-        assert!(collect(Box::new(it)).unwrap().is_empty());
+        assert!(collect(Box::new(it), 1024).unwrap().is_empty());
     }
 
     #[test]
@@ -963,23 +856,36 @@ mod tests {
         // The invariant the parallel aggregate relies on.
         let gov = QueryGovernor::unlimited();
         let mut charge = MemCharge::new(gov.clone());
+        let ctx = test_context();
+        let mut partial = |rows: Vec<Row>| {
+            let (map, parts) = aggregate_partial_spilling(
+                &mut ValuesIter::new(rows),
+                &[Expr::col(0, "g")],
+                &specs(),
+                &mut charge,
+                &ctx.temp,
+                &[],
+                &ctx.gov,
+                None,
+                0,
+                2,
+            )
+            .unwrap();
+            assert!(parts.iter().all(Option::is_none), "nothing spills");
+            map
+        };
         let all = rows();
-        let serial = {
-            let mut it = ValuesIter::new(all.clone());
-            aggregate_into_map(&mut it, &[Expr::col(0, "g")], &specs(), &mut charge).unwrap()
+        let serial = partial(all.clone());
+        let mut merged = partial(all[..2].to_vec());
+        merge_maps(&mut merged, partial(all[2..].to_vec()), &specs()).unwrap();
+        let finish = |map: GroupedStates| {
+            let rows = map
+                .into_iter()
+                .map(|(k, states)| finish_group(k, states, &specs()).unwrap())
+                .collect();
+            normalize(rows)
         };
-        let mut merged = {
-            let mut it = ValuesIter::new(all[..2].to_vec());
-            aggregate_into_map(&mut it, &[Expr::col(0, "g")], &specs(), &mut charge).unwrap()
-        };
-        let part2 = {
-            let mut it = ValuesIter::new(all[2..].to_vec());
-            aggregate_into_map(&mut it, &[Expr::col(0, "g")], &specs(), &mut charge).unwrap()
-        };
-        merge_maps(&mut merged, part2, &specs()).unwrap();
-        let a = normalize(finish_map(serial, &specs()).unwrap());
-        let b = normalize(finish_map(merged, &specs()).unwrap());
-        assert_eq!(a, b);
+        assert_eq!(finish(serial), finish(merged));
         drop(charge);
         assert_eq!(gov.mem_used(), 0);
     }
@@ -1000,7 +906,7 @@ mod tests {
             specs(),
             ctx.clone(),
         );
-        let got = normalize(collect(Box::new(it)).unwrap());
+        let got = normalize(collect(Box::new(it), 2).unwrap());
         assert_eq!(got.len(), 500, "each group must appear exactly once");
         for (g, cnt, total) in got {
             assert!((0..500).contains(&g));
@@ -1008,20 +914,5 @@ mod tests {
             assert_eq!(total, 4);
         }
         assert_eq!(ctx.gov.mem_used(), 0, "all charges released");
-    }
-
-    #[test]
-    fn ungoverned_aggregate_into_map_errors_when_exhausted() {
-        let gov = QueryGovernor::new(None, Some(256));
-        let mut charge = MemCharge::new(gov);
-        let input: Vec<Row> = (0..100i64)
-            .map(|i| Row::new(vec![Value::Int(i), Value::Int(1)]))
-            .collect();
-        let mut it = ValuesIter::new(input);
-        let err = match aggregate_into_map(&mut it, &[Expr::col(0, "g")], &specs(), &mut charge) {
-            Ok(_) => panic!("expected exhaustion"),
-            Err(e) => e,
-        };
-        assert!(matches!(err, DbError::ResourceExhausted(_)), "{err}");
     }
 }

@@ -9,23 +9,43 @@ use std::sync::Arc;
 
 use seqdb_types::{DbError, Result, Row, Value};
 
-use crate::exec::{BoxedIter, ExecContext, RowIterator};
+use crate::exec::{fill_batch, BoxedIter, ExecContext, RowBatch, RowCursor, RowIterator};
 use crate::expr::Expr;
 use crate::udx::{protect, TableFunction, TvfCursor};
 
+/// The next row of a table function's cursor — the one place the engine
+/// drives the paper's pull contract: `move_next()`, then `fill_row()`.
+/// Both run user code; a panic in either fails only this query
+/// (`DbError::UdxPanic`). A row of the wrong shape fails loudly rather
+/// than corrupting downstream operators.
+fn tvf_row(name: &str, cursor: &mut dyn TvfCursor, arity: usize) -> Result<Option<Row>> {
+    if !protect(name, || cursor.move_next())? {
+        return Ok(None);
+    }
+    let row = protect(name, || cursor.fill_row())?;
+    if row.len() != arity {
+        return Err(DbError::Execution(format!(
+            "table function produced {} columns, declared {}",
+            row.len(),
+            arity
+        )));
+    }
+    Ok(Some(row))
+}
+
 /// `FROM tvf(constant args)`: a leaf scan over a table function.
 pub struct TvfScanIter {
-    cursor: Box<dyn TvfCursor>,
+    /// `None` once the function reported its last row: the cursor is
+    /// never advanced past its end.
+    cursor: Option<Box<dyn TvfCursor>>,
     name: String,
-    /// Expected output arity, validated per row: a UDF that returns the
-    /// wrong shape should fail loudly, not corrupt downstream operators.
     arity: usize,
 }
 
 impl TvfScanIter {
     pub fn open(tvf: &Arc<dyn TableFunction>, args: &[Value], ctx: &ExecContext) -> Result<Self> {
         Ok(TvfScanIter {
-            cursor: protect(tvf.name(), || tvf.open(args, ctx))?,
+            cursor: Some(protect(tvf.name(), || tvf.open(args, ctx))?),
             name: tvf.name().to_string(),
             arity: tvf.schema().len(),
         })
@@ -33,28 +53,24 @@ impl TvfScanIter {
 }
 
 impl RowIterator for TvfScanIter {
-    fn next(&mut self) -> Result<Option<Row>> {
-        // Both cursor entry points run user code; a panic in either fails
-        // only this query (DbError::UdxPanic).
-        if !protect(&self.name, || self.cursor.move_next())? {
-            return Ok(None);
-        }
-        let row = protect(&self.name, || self.cursor.fill_row())?;
-        if row.len() != self.arity {
-            return Err(DbError::Execution(format!(
-                "table function produced {} columns, declared {}",
-                row.len(),
-                self.arity
-            )));
-        }
-        Ok(Some(row))
+    fn next_batch(&mut self, max_rows: usize) -> Result<Option<RowBatch>> {
+        fill_batch(max_rows, || {
+            let Some(cursor) = self.cursor.as_mut() else {
+                return Ok(None);
+            };
+            let row = tvf_row(&self.name, cursor.as_mut(), self.arity)?;
+            if row.is_none() {
+                self.cursor = None;
+            }
+            Ok(row)
+        })
     }
 }
 
 /// `input CROSS APPLY tvf(arg_exprs...)`: for each outer row, open the
 /// TVF with arguments computed from that row and emit `outer ++ tvf_row`.
 pub struct CrossApplyIter {
-    input: BoxedIter,
+    input: RowCursor,
     tvf: Arc<dyn TableFunction>,
     arg_exprs: Vec<Expr>,
     ctx: ExecContext,
@@ -72,7 +88,7 @@ impl CrossApplyIter {
     ) -> CrossApplyIter {
         let arity = tvf.schema().len();
         CrossApplyIter {
-            input,
+            input: RowCursor::new(input, ctx.batch_size),
             tvf,
             arg_exprs,
             ctx,
@@ -81,29 +97,18 @@ impl CrossApplyIter {
             arity,
         }
     }
-}
 
-impl RowIterator for CrossApplyIter {
-    fn next(&mut self) -> Result<Option<Row>> {
+    fn next_row(&mut self) -> Result<Option<Row>> {
         loop {
             if let Some(cursor) = &mut self.current_cursor {
-                let name = self.tvf.name();
-                if protect(name, || cursor.move_next())? {
-                    let inner = protect(name, || cursor.fill_row())?;
-                    if inner.len() != self.arity {
-                        return Err(DbError::Execution(format!(
-                            "table function produced {} columns, declared {}",
-                            inner.len(),
-                            self.arity
-                        )));
-                    }
+                if let Some(inner) = tvf_row(self.tvf.name(), cursor.as_mut(), self.arity)? {
                     let outer = self.current_outer.as_ref().expect("outer row set");
                     return Ok(Some(outer.concat(&inner)));
                 }
                 self.current_cursor = None;
                 self.current_outer = None;
             }
-            match self.input.next()? {
+            match self.input.next_row()? {
                 None => return Ok(None),
                 Some(outer) => {
                     let args: Vec<Value> = self
@@ -117,6 +122,12 @@ impl RowIterator for CrossApplyIter {
                 }
             }
         }
+    }
+}
+
+impl RowIterator for CrossApplyIter {
+    fn next_batch(&mut self, max_rows: usize) -> Result<Option<RowBatch>> {
+        fill_batch(max_rows, || self.next_row())
     }
 }
 
@@ -178,7 +189,7 @@ mod tests {
         let ctx = test_context();
         let tvf: Arc<dyn TableFunction> = Arc::new(Numbers);
         let it = TvfScanIter::open(&tvf, &[Value::Int(4)], &ctx).unwrap();
-        let rows = collect(Box::new(it)).unwrap();
+        let rows = collect(Box::new(it), 3).unwrap();
         assert_eq!(
             rows.iter()
                 .map(|r| r[0].as_int().unwrap())
@@ -198,7 +209,7 @@ mod tests {
             vec![Expr::col(0, "n")],
             ctx,
         );
-        let rows = collect(Box::new(it)).unwrap();
+        let rows = collect(Box::new(it), 3).unwrap();
         // outer 2 -> (2,0),(2,1); outer 0 -> nothing; outer 3 -> (3,0),(3,1),(3,2)
         let pairs: Vec<(i64, i64)> = rows
             .iter()

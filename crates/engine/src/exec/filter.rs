@@ -1,6 +1,6 @@
-//! Filter, projection and limit operators, with native batch paths:
-//! the filter narrows a batch's selection vector in place (dropped rows
-//! are never moved or copied), the projection rewrites batches with
+//! Filter, projection and limit operators. The filter narrows a batch's
+//! selection vector in place (dropped rows are never moved or copied),
+//! the projection rewrites batches with
 //! recycled value buffers (no per-row allocation, no `Value` clones for
 //! single-use columns), and the limit truncates a batch's selection.
 
@@ -31,16 +31,7 @@ impl FilterIter {
 }
 
 impl RowIterator for FilterIter {
-    fn next(&mut self) -> Result<Option<Row>> {
-        while let Some(row) = self.input.next()? {
-            if self.predicate.eval_predicate(&row)? {
-                return Ok(Some(row));
-            }
-        }
-        Ok(None)
-    }
-
-    /// Native batch path: evaluate the predicate into the batch's
+    /// Evaluate the predicate into the batch's
     /// selection vector. Rows that fail stay where they are, unselected;
     /// whoever materializes the batch later skips them for free.
     fn next_batch(&mut self, max_rows: usize) -> Result<Option<RowBatch>> {
@@ -101,21 +92,7 @@ impl ProjectIter {
 }
 
 impl RowIterator for ProjectIter {
-    fn next(&mut self) -> Result<Option<Row>> {
-        match self.input.next()? {
-            None => Ok(None),
-            Some(row) => {
-                let vals = self
-                    .exprs
-                    .iter()
-                    .map(|e| e.eval(&row))
-                    .collect::<Result<Vec<_>>>()?;
-                Ok(Some(Row::new(vals)))
-            }
-        }
-    }
-
-    /// Native batch path: evaluate the projection over every *selected*
+    /// Evaluate the projection over every *selected*
     /// row (rows a filter dropped upstream are skipped without ever
     /// being touched) and compact the result into a fresh batch.
     fn next_batch(&mut self, max_rows: usize) -> Result<Option<RowBatch>> {
@@ -160,23 +137,7 @@ impl LimitIter {
 }
 
 impl RowIterator for LimitIter {
-    fn next(&mut self) -> Result<Option<Row>> {
-        if self.remaining == 0 {
-            return Ok(None);
-        }
-        match self.input.next()? {
-            None => {
-                self.remaining = 0;
-                Ok(None)
-            }
-            Some(r) => {
-                self.remaining -= 1;
-                Ok(Some(r))
-            }
-        }
-    }
-
-    /// Native batch path: ask the child for no more rows than remain,
+    /// Ask the child for no more rows than remain,
     /// then truncate the batch's selection to the limit.
     fn next_batch(&mut self, max_rows: usize) -> Result<Option<RowBatch>> {
         if self.remaining == 0 {
@@ -281,7 +242,7 @@ mod tests {
             filt,
             vec![Expr::binary(BinOp::Mul, Expr::col(0, "k"), Expr::lit(100))],
         ));
-        let out = collect(proj).unwrap();
+        let out = collect(proj, 1).unwrap();
         assert_eq!(
             out.iter().map(|r| r[0].clone()).collect::<Vec<_>>(),
             vec![Value::Int(200), Value::Int(300), Value::Int(400)]
@@ -292,12 +253,12 @@ mod tests {
     fn limit_stops_early() {
         let rows = int_rows(&[&[1], &[2], &[3]]);
         let it = Box::new(LimitIter::new(Box::new(ValuesIter::new(rows)), 2));
-        assert_eq!(collect(it).unwrap().len(), 2);
+        assert_eq!(collect(it, 1).unwrap().len(), 2);
         let it = Box::new(LimitIter::new(
             Box::new(ValuesIter::new(int_rows(&[&[1]]))),
             5,
         ));
-        assert_eq!(collect(it).unwrap().len(), 1);
+        assert_eq!(collect(it, 1024).unwrap().len(), 1);
     }
 
     #[test]

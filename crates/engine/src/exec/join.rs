@@ -42,9 +42,9 @@ fn pair_output_buffer(ctx: &ExecContext) -> OutputBuffer {
     let cap = ctx.gov.mem_limit().map(|l| l / 4 / SPILL_PARTITIONS);
     OutputBuffer::with_class_capped(ctx, WaitClass::JoinSpill, cap)
 }
-use crate::exec::{BoxedIter, ExecContext, RowBatch, RowIterator};
+use crate::exec::{fill_batch, BoxedIter, ExecContext, RowBatch, RowCursor, RowIterator};
 use crate::expr::{eval_into, Expr};
-use crate::governor::{MemCharge, Ticker};
+use crate::governor::MemCharge;
 use crate::parallel::root_cause;
 use crate::udx::panic_payload;
 
@@ -301,43 +301,45 @@ fn build_table(
     charge: &mut MemCharge,
     mut bloom: Option<&mut BloomTracker>,
 ) -> Result<(BuildMap, Vec<Option<SpillWriter>>)> {
-    let mut ticker = Ticker::new();
     let mut table = BuildMap::default();
     let mut spilling = false;
     let mut parts: Vec<Option<SpillWriter>> = (0..SPILL_PARTITIONS).map(|_| None).collect();
     let mut key: Vec<Value> = Vec::new();
-    while let Some(row) = input.next()? {
-        ticker.tick(&env.ctx.gov)?;
-        eval_into(&env.build_keys, &row, &mut key)?;
-        if !key_joinable(&key) {
-            continue;
-        }
-        let cost = join_entry_cost(&key, &row);
-        if !spilling && cap.is_none_or(|c| charge.bytes() + cost <= c) && charge.try_grow(cost) {
-            // get_mut-first: duplicate keys (the common case in fact
-            // tables) skip the owned-key clone entirely.
-            if let Some(rows) = table.get_mut(key.as_slice()) {
-                rows.push(Arc::new(row));
+    while let Some(batch) = input.next_batch(env.ctx.batch_size)? {
+        env.ctx.gov.check_deadline()?;
+        for row in batch.into_rows() {
+            eval_into(&env.build_keys, &row, &mut key)?;
+            if !key_joinable(&key) {
+                continue;
+            }
+            let cost = join_entry_cost(&key, &row);
+            if !spilling && cap.is_none_or(|c| charge.bytes() + cost <= c) && charge.try_grow(cost)
+            {
+                // get_mut-first: duplicate keys (the common case in fact
+                // tables) skip the owned-key clone entirely.
+                if let Some(rows) = table.get_mut(key.as_slice()) {
+                    rows.push(Arc::new(row));
+                } else {
+                    table.insert(key.clone(), vec![Arc::new(row)]);
+                }
             } else {
-                table.insert(key.clone(), vec![Arc::new(row)]);
-            }
-        } else {
-            if depth >= MAX_JOIN_SPILL_DEPTH {
-                return Err(DbError::ResourceExhausted(format!(
-                    "hash join build side exceeded its memory budget even after \
-                     {MAX_JOIN_SPILL_DEPTH} repartition passes"
-                )));
-            }
-            spilling = true;
-            if let Some(tracker) = bloom.as_deref_mut() {
-                tracker.note(bloom_hash(&key));
-            }
-            let p = partition_of(&key, depth);
-            if parts[p].is_none() {
-                parts[p] = Some(env.ctx.create_join_spill()?);
-            }
-            if let Some(writer) = parts[p].as_mut() {
-                write_spill_row(writer, &row)?;
+                if depth >= MAX_JOIN_SPILL_DEPTH {
+                    return Err(DbError::ResourceExhausted(format!(
+                        "hash join build side exceeded its memory budget even after \
+                         {MAX_JOIN_SPILL_DEPTH} repartition passes"
+                    )));
+                }
+                spilling = true;
+                if let Some(tracker) = bloom.as_deref_mut() {
+                    tracker.note(bloom_hash(&key));
+                }
+                let p = partition_of(&key, depth);
+                if parts[p].is_none() {
+                    parts[p] = Some(env.ctx.create_join_spill()?);
+                }
+                if let Some(writer) = parts[p].as_mut() {
+                    write_spill_row(writer, &row)?;
+                }
             }
         }
     }
@@ -363,26 +365,27 @@ fn join_spilled(
 
     let mut sub_probe: Vec<Option<SpillWriter>> = (0..SPILL_PARTITIONS).map(|_| None).collect();
     let mut probe_rows = SpillRowIter::new(probe);
-    let mut ticker = Ticker::new();
     let mut key: Vec<Value> = Vec::new();
-    while let Some(row) = probe_rows.next()? {
-        ticker.tick(&gov)?;
-        eval_into(&env.probe_keys, &row, &mut key)?;
-        if !key_joinable(&key) {
-            continue;
-        }
-        if let Some(matches) = table.get(key.as_slice()) {
-            for b in matches {
-                out.push(env.emit(b, &row))?;
+    while let Some(batch) = probe_rows.next_batch(env.ctx.batch_size)? {
+        gov.check_deadline()?;
+        for row in batch.into_rows() {
+            eval_into(&env.probe_keys, &row, &mut key)?;
+            if !key_joinable(&key) {
+                continue;
             }
-        }
-        let p = partition_of(&key, depth);
-        if sub_build[p].is_some() {
-            if sub_probe[p].is_none() {
-                sub_probe[p] = Some(env.ctx.create_join_spill()?);
+            if let Some(matches) = table.get(key.as_slice()) {
+                for b in matches {
+                    out.push(env.emit(b, &row))?;
+                }
             }
-            if let Some(writer) = sub_probe[p].as_mut() {
-                write_spill_row(writer, &row)?;
+            let p = partition_of(&key, depth);
+            if sub_build[p].is_some() {
+                if sub_probe[p].is_none() {
+                    sub_probe[p] = Some(env.ctx.create_join_spill()?);
+                }
+                if let Some(writer) = sub_probe[p].as_mut() {
+                    write_spill_row(writer, &row)?;
+                }
             }
         }
     }
@@ -633,60 +636,18 @@ impl HashJoinIter {
 }
 
 impl RowIterator for HashJoinIter {
-    fn next(&mut self) -> Result<Option<Row>> {
-        if matches!(self.state, JoinState::Build) {
-            self.run_build()?;
-            self.state = JoinState::Probe;
-        }
-        loop {
-            if let Some(row) = self.ready.pop_front() {
-                return Ok(Some(row));
-            }
-            match self.state {
-                JoinState::Probe => match self.probe.next()? {
-                    Some(row) => self.probe_row(row)?,
-                    None => {
-                        self.outputs = self.run_partition_phase()?.into_iter();
-                        self.state = JoinState::Drain;
-                    }
-                },
-                JoinState::Drain => {
-                    if let Some(out) = self.current_out.as_mut() {
-                        if let Some(row) = out.next()? {
-                            return Ok(Some(row));
-                        }
-                        // Drop the finished partition's output early: its
-                        // charge and spill file release before the next
-                        // partition streams.
-                        self.current_out = None;
-                    }
-                    match self.outputs.next() {
-                        Some(out) => self.current_out = Some(out),
-                        None => self.state = JoinState::Done,
-                    }
-                }
-                JoinState::Done => return Ok(None),
-                JoinState::Build => unreachable!("build ran before the loop"),
-            }
-        }
-    }
-
-    /// Native batch path for the probe side: pull probe *batches*, run
-    /// each selected row through the unchanged per-row probe (Bloom
-    /// pre-screen, spill routing, resident lookup), and hand the joined
-    /// rows on as a batch. The child's governor tick, the probe-side
-    /// dispatch and this operator's output handling all amortize over
-    /// the batch; the spilled-partition drain falls back to the row
-    /// loop, whose semantics (early file cleanup, charge release) stay
-    /// exactly as they are.
+    /// Pull probe *batches*, run each selected row through the per-row
+    /// probe (Bloom pre-screen, spill routing, resident lookup), and hand
+    /// the joined rows on as a batch. Once the probe side is exhausted,
+    /// the spilled partition pairs stream out one after another; each
+    /// pair's file and charge are released as soon as it is drained.
     fn next_batch(&mut self, max_rows: usize) -> Result<Option<RowBatch>> {
         if matches!(self.state, JoinState::Build) {
             self.run_build()?;
             self.state = JoinState::Probe;
         }
         let max = max_rows.max(1);
-        let mut out: Vec<Row> =
-            Vec::with_capacity(max.min(crate::exec::ExecContext::DEFAULT_BATCH_SIZE));
+        let mut out: Vec<Row> = Vec::with_capacity(max.min(ExecContext::DEFAULT_BATCH_SIZE));
         loop {
             while out.len() < max {
                 match self.ready.pop_front() {
@@ -695,7 +656,7 @@ impl RowIterator for HashJoinIter {
                 }
             }
             if out.len() >= max {
-                return Ok(Some(RowBatch::from_rows(out)));
+                break;
             }
             match self.state {
                 JoinState::Probe => match self.probe.next_batch(max)? {
@@ -709,33 +670,29 @@ impl RowIterator for HashJoinIter {
                         self.state = JoinState::Drain;
                     }
                 },
-                // The drain of spilled partition pairs reuses the row
-                // loop: it already streams each pair's output and frees
-                // its file/charge as soon as the pair finishes.
-                JoinState::Drain | JoinState::Done => {
-                    while out.len() < max {
-                        match self.next()? {
-                            Some(row) => out.push(row),
-                            None => break,
-                        }
-                    }
-                    return if out.is_empty() {
-                        Ok(None)
-                    } else {
-                        Ok(Some(RowBatch::from_rows(out)))
-                    };
-                }
+                JoinState::Drain => match self.current_out.as_mut() {
+                    Some(pair) => match pair.next_batch(max - out.len())? {
+                        Some(batch) => out.extend(batch.into_rows()),
+                        None => self.current_out = None,
+                    },
+                    None => match self.outputs.next() {
+                        Some(pair) => self.current_out = Some(pair),
+                        None => self.state = JoinState::Done,
+                    },
+                },
+                JoinState::Done => break,
                 JoinState::Build => unreachable!("build ran before the loop"),
             }
         }
+        Ok((!out.is_empty()).then(|| RowBatch::from_rows(out)))
     }
 }
 
 /// Inner merge join over inputs sorted ascending on their join keys.
 /// Handles duplicate keys on both sides by buffering the right-side group.
 pub struct MergeJoinIter {
-    left: BoxedIter,
-    right: BoxedIter,
+    left: RowCursor,
+    right: RowCursor,
     left_keys: Vec<Expr>,
     right_keys: Vec<Expr>,
     left_row: Option<(Vec<Value>, Row)>,
@@ -753,10 +710,11 @@ impl MergeJoinIter {
         right: BoxedIter,
         left_keys: Vec<Expr>,
         right_keys: Vec<Expr>,
+        batch_size: usize,
     ) -> MergeJoinIter {
         MergeJoinIter {
-            left,
-            right,
+            left: RowCursor::new(left, batch_size),
+            right: RowCursor::new(right, batch_size),
             left_keys,
             right_keys,
             left_row: None,
@@ -769,7 +727,7 @@ impl MergeJoinIter {
     }
 
     fn advance_left(&mut self) -> Result<()> {
-        self.left_row = match self.left.next()? {
+        self.left_row = match self.left.next_row()? {
             Some(r) => Some((eval_all(&self.left_keys, &r)?, r)),
             None => None,
         };
@@ -777,7 +735,7 @@ impl MergeJoinIter {
     }
 
     fn advance_right(&mut self) -> Result<()> {
-        self.right_row = match self.right.next()? {
+        self.right_row = match self.right.next_row()? {
             Some(r) => Some((eval_all(&self.right_keys, &r)?, r)),
             None => None,
         };
@@ -789,20 +747,21 @@ impl MergeJoinIter {
     fn gather_right_group(&mut self, key: &[Value]) -> Result<()> {
         self.right_group.clear();
         self.right_group_key = key.to_vec();
-        while let Some((rk, row)) = &self.right_row {
-            if cmp_keys(rk, key) == Ordering::Equal {
-                self.right_group.push(row.clone());
-                self.advance_right()?;
-            } else {
+        while let Some((rk, _)) = &self.right_row {
+            if cmp_keys(rk, key) != Ordering::Equal {
                 break;
             }
+            if let Some((_, row)) = self.right_row.take() {
+                self.right_group.push(row);
+            }
+            self.advance_right()?;
         }
         Ok(())
     }
 }
 
-impl RowIterator for MergeJoinIter {
-    fn next(&mut self) -> Result<Option<Row>> {
+impl MergeJoinIter {
+    fn next_row(&mut self) -> Result<Option<Row>> {
         if !self.started {
             self.started = true;
             self.advance_left()?;
@@ -859,6 +818,12 @@ impl RowIterator for MergeJoinIter {
     }
 }
 
+impl RowIterator for MergeJoinIter {
+    fn next_batch(&mut self, max_rows: usize) -> Result<Option<RowBatch>> {
+        fill_batch(max_rows, || self.next_row())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -904,9 +869,10 @@ mod tests {
                 Box::new(ValuesIter::new(right)),
                 lk,
                 rk,
+                2,
             )),
         };
-        let mut out: Vec<(i64, i64)> = collect(it)
+        let mut out: Vec<(i64, i64)> = collect(it, 3)
             .unwrap()
             .iter()
             .map(|r| (r[1].as_int().unwrap(), r[3].as_int().unwrap()))
@@ -972,7 +938,7 @@ mod tests {
             1,
             test_context(),
         );
-        let rows = collect(Box::new(it)).unwrap();
+        let rows = collect(Box::new(it), 1).unwrap();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0][1], Value::Int(1), "left payload first");
         assert_eq!(rows[0][3], Value::Int(70), "right payload second");
@@ -997,7 +963,7 @@ mod tests {
             let gov = ctx.gov.clone();
             let temp = ctx.temp.clone();
             let it = hash_join(left.clone(), right.clone(), ctx, dop);
-            let mut got: Vec<(i64, i64)> = collect(Box::new(it))
+            let mut got: Vec<(i64, i64)> = collect(Box::new(it), 7)
                 .unwrap()
                 .iter()
                 .map(|r| (r[1].as_int().unwrap(), r[3].as_int().unwrap()))
@@ -1023,7 +989,7 @@ mod tests {
         let temp = ctx.temp.clone();
         let mut it = hash_join(left, right, ctx, 2);
         for _ in 0..10 {
-            it.next().unwrap().expect("join has matches");
+            it.next_batch(1).unwrap().expect("join has matches");
         }
         drop(it);
         assert_eq!(gov.mem_used(), 0, "charges released on drop");
@@ -1040,7 +1006,7 @@ mod tests {
         let gov = ctx.gov.clone();
         let temp = ctx.temp.clone();
         let it = hash_join(left, right, ctx, 1);
-        let err = collect(Box::new(it)).unwrap_err();
+        let err = collect(Box::new(it), 1024).unwrap_err();
         assert!(
             matches!(err, seqdb_types::DbError::ResourceExhausted(_)),
             "{err}"
@@ -1072,7 +1038,7 @@ mod tests {
         ctx.temp = isolated_temp("bloom");
         let temp = ctx.temp.clone();
         let it = hash_join(left, right, ctx, 1);
-        let rows = collect(Box::new(it)).unwrap();
+        let rows = collect(Box::new(it), 1024).unwrap();
         assert!(rows.is_empty());
         assert!(temp.spill_count() > 0, "build side must have spilled");
         assert!(

@@ -1,9 +1,18 @@
-//! Physical execution: the Volcano iterator model.
+//! Physical execution: a pull-based iterator model that moves rows in
+//! batches.
 //!
-//! Every operator implements [`RowIterator`]; the query processor pulls
-//! rows one at a time (`next()`), which is the same contract SQL Server's
-//! query processor has with CLR table-valued functions (paper §4.1,
-//! Figure 5).
+//! Every operator implements [`RowIterator`], whose one method pulls a
+//! [`RowBatch`] of up to `max_rows` rows from its child — the
+//! vector-at-a-time variant of the Volcano model (MonetDB/X100). A query
+//! runs with one batch size (`SET BATCH_SIZE`); `BATCH_SIZE = 1` is
+//! row-at-a-time execution on the same code. Operators whose logic is
+//! naturally row-shaped (sort, merge join, ROW_NUMBER, stream aggregate,
+//! table-valued functions) read their input through one `RowCursor`
+//! and assemble their output with `fill_batch`. The paper's
+//! row-at-a-time contract with CLR table-valued functions (§4.1,
+//! Figure 5) survives as the single adapter at the UDX boundary:
+//! [`crate::udx::TvfCursor`]'s `move_next`/`fill_row`, driven from
+//! [`apply`].
 
 pub mod agg;
 pub mod apply;
@@ -16,7 +25,7 @@ pub mod window;
 
 use std::sync::Arc;
 
-use seqdb_types::{Result, Row};
+use seqdb_types::{DbError, Result, Row};
 
 use seqdb_storage::tempspace::SpillWriter;
 use seqdb_storage::{FileStreamStore, SpillTally, TempSpace};
@@ -35,8 +44,8 @@ pub struct ExecContext {
     pub dop: usize,
     /// Memory budget (bytes) for blocking operators before they spill.
     pub sort_budget: usize,
-    /// Rows per [`RowBatch`] on the vectorized path (`SET BATCH_SIZE`);
-    /// 0 forces row-at-a-time execution everywhere.
+    /// Rows per [`RowBatch`] (`SET BATCH_SIZE`, at least 1; 1 runs the
+    /// query row-at-a-time).
     pub batch_size: usize,
     /// Per-query resource governor: cancellation, timeout, memory budget.
     /// Fresh for every query; clone the `Arc` to cancel from another
@@ -56,8 +65,21 @@ impl ExecContext {
     /// Default memory budget for blocking operators: 64 MiB.
     pub const DEFAULT_SORT_BUDGET: usize = 64 * 1024 * 1024;
 
-    /// Default rows per batch on the vectorized path.
+    /// Default rows per batch.
     pub const DEFAULT_BATCH_SIZE: usize = 1024;
+
+    /// Validate a `SET BATCH_SIZE` value: a batch holds at least one
+    /// row, and selection vectors index rows with `u32`.
+    pub fn check_batch_size(rows: usize) -> Result<usize> {
+        if (1..=u32::MAX as usize).contains(&rows) {
+            Ok(rows)
+        } else {
+            Err(DbError::Unsupported(format!(
+                "BATCH_SIZE = {rows}: valid range is 1 to {} rows",
+                u32::MAX
+            )))
+        }
+    }
 
     /// The spill tallies every spill of this context should feed: the
     /// query-wide tally on the governor plus, when collecting actuals,
@@ -102,9 +124,6 @@ pub struct RowBatch {
     sel: Option<Vec<u32>>,
     /// Budget charge covering `rows`, released on drop.
     charge: Option<MemCharge>,
-    /// True when the batch was assembled by the default `next()`-loop
-    /// fallback rather than a native batch producer.
-    fallback: bool,
 }
 
 impl RowBatch {
@@ -113,26 +132,12 @@ impl RowBatch {
             rows,
             sel: None,
             charge: None,
-            fallback: false,
-        }
-    }
-
-    /// A batch assembled by the default row-at-a-time fallback.
-    pub fn fallback_from(rows: Vec<Row>) -> RowBatch {
-        RowBatch {
-            fallback: true,
-            ..RowBatch::from_rows(rows)
         }
     }
 
     /// Attach the budget charge covering this batch's rows.
     pub fn set_charge(&mut self, charge: MemCharge) {
         self.charge = Some(charge);
-    }
-
-    /// Was this batch produced by the row-loop fallback?
-    pub fn is_fallback(&self) -> bool {
-        self.fallback
     }
 
     /// Number of *selected* rows.
@@ -222,53 +227,75 @@ impl RowBatch {
 
 /// A pull-based row stream.
 pub trait RowIterator: Send {
-    /// Produce the next row, `None` at end-of-stream. After `None` (or an
+    /// Produce the next batch of at most `max_rows` rows (at least one
+    /// row is always asked for). `None` at end-of-stream; a returned
+    /// batch always has at least one selected row. After `None` (or an
     /// error) the iterator must not be called again.
-    fn next(&mut self) -> Result<Option<Row>>;
-
-    /// Produce the next batch of up to `max_rows` rows (a hint, not a
-    /// hard cap: expanding operators such as a join probe may overshoot;
-    /// filters return fewer). `None` at end-of-stream; a returned batch
-    /// always has at least one selected row. The default implementation
-    /// loops [`RowIterator::next`], so every operator participates in
-    /// batch execution unchanged and the long tail (sort, window, apply,
-    /// UDX) falls back transparently.
-    fn next_batch(&mut self, max_rows: usize) -> Result<Option<RowBatch>> {
-        let max = max_rows.max(1);
-        let mut rows = Vec::with_capacity(max.min(ExecContext::DEFAULT_BATCH_SIZE));
-        while rows.len() < max {
-            match self.next()? {
-                Some(r) => rows.push(r),
-                None => break,
-            }
-        }
-        if rows.is_empty() {
-            Ok(None)
-        } else {
-            Ok(Some(RowBatch::fallback_from(rows)))
-        }
-    }
+    fn next_batch(&mut self, max_rows: usize) -> Result<Option<RowBatch>>;
 }
 
 /// Boxed operator, the unit plans compose.
 pub type BoxedIter = Box<dyn RowIterator>;
 
-/// Drain an iterator into a vector (tests, small results).
-pub fn collect(mut it: BoxedIter) -> Result<Vec<Row>> {
-    let mut out = Vec::new();
-    while let Some(r) = it.next()? {
-        out.push(r);
+/// Assemble a batch of up to `max_rows` rows from a row-at-a-time
+/// producer: the output side of every row-shaped operator. `next_row`
+/// must keep returning `None` once it has returned `None`.
+pub(crate) fn fill_batch(
+    max_rows: usize,
+    mut next_row: impl FnMut() -> Result<Option<Row>>,
+) -> Result<Option<RowBatch>> {
+    let max = max_rows.max(1);
+    let mut rows = Vec::with_capacity(max.min(ExecContext::DEFAULT_BATCH_SIZE));
+    while rows.len() < max {
+        match next_row()? {
+            Some(row) => rows.push(row),
+            None => break,
+        }
     }
-    Ok(out)
+    Ok((!rows.is_empty()).then(|| RowBatch::from_rows(rows)))
 }
 
-/// Drain an iterator through the batch protocol. `batch_size == 0` is
-/// the forced row-at-a-time mode (`SET BATCH_SIZE = 0`): the root pulls
-/// single rows and no operator ever sees a batch.
-pub fn collect_batched(mut it: BoxedIter, batch_size: usize) -> Result<Vec<Row>> {
-    if batch_size == 0 {
-        return collect(it);
+/// The input side of every row-shaped operator: pulls the child one
+/// batch of `batch_size` rows at a time and hands the selected rows out
+/// one by one. Once the child reports end-of-stream it is not pulled
+/// again.
+pub(crate) struct RowCursor {
+    input: BoxedIter,
+    batch_size: usize,
+    rows: std::vec::IntoIter<Row>,
+    done: bool,
+}
+
+impl RowCursor {
+    pub(crate) fn new(input: BoxedIter, batch_size: usize) -> RowCursor {
+        RowCursor {
+            input,
+            batch_size,
+            rows: Vec::new().into_iter(),
+            done: false,
+        }
     }
+
+    /// The next input row, `None` at end-of-stream.
+    pub(crate) fn next_row(&mut self) -> Result<Option<Row>> {
+        loop {
+            if let Some(row) = self.rows.next() {
+                return Ok(Some(row));
+            }
+            if self.done {
+                return Ok(None);
+            }
+            match self.input.next_batch(self.batch_size)? {
+                Some(batch) => self.rows = batch.into_rows().into_iter(),
+                None => self.done = true,
+            }
+        }
+    }
+}
+
+/// Drain an iterator into a vector, `batch_size` rows per pull: the
+/// root drain of every query.
+pub fn collect(mut it: BoxedIter, batch_size: usize) -> Result<Vec<Row>> {
     let mut out = Vec::new();
     while let Some(batch) = it.next_batch(batch_size)? {
         out.extend(batch.into_rows());
@@ -290,8 +317,8 @@ impl ValuesIter {
 }
 
 impl RowIterator for ValuesIter {
-    fn next(&mut self) -> Result<Option<Row>> {
-        Ok(self.rows.next())
+    fn next_batch(&mut self, max_rows: usize) -> Result<Option<RowBatch>> {
+        fill_batch(max_rows, || Ok(self.rows.next()))
     }
 }
 
@@ -308,15 +335,19 @@ pub(crate) mod testutil {
         for f in crate::builtins::all_builtins() {
             catalog.register_scalar(f);
         }
-        let fsdir = std::env::temp_dir().join(format!(
-            "seqdb-exec-test-{}-{:p}",
-            std::process::id(),
-            &catalog
-        ));
+        // Directories of their own: tests run in parallel, and opening a
+        // temp space sweeps the spill files already in its directory.
+        let dir = |kind: &str| {
+            std::env::temp_dir().join(format!(
+                "seqdb-exec-{kind}-{}-{:p}",
+                std::process::id(),
+                Arc::as_ptr(&catalog)
+            ))
+        };
         ExecContext {
+            filestream: Arc::new(FileStreamStore::open(dir("fs")).unwrap()),
+            temp: TempSpace::open(dir("tmp")).unwrap(),
             catalog,
-            filestream: Arc::new(FileStreamStore::open(fsdir).unwrap()),
-            temp: TempSpace::system().unwrap(),
             dop: 2,
             sort_budget: ExecContext::DEFAULT_SORT_BUDGET,
             batch_size: ExecContext::DEFAULT_BATCH_SIZE,
@@ -330,5 +361,77 @@ pub(crate) mod testutil {
         vals.iter()
             .map(|r| r.iter().map(|&v| Value::Int(v)).collect())
             .collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::testutil::int_rows;
+    use super::*;
+
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// Counts the pulls made on it, to show where a cursor stops.
+    struct Counted {
+        inner: ValuesIter,
+        pulls: Arc<AtomicUsize>,
+    }
+
+    impl RowIterator for Counted {
+        fn next_batch(&mut self, max_rows: usize) -> Result<Option<RowBatch>> {
+            self.pulls.fetch_add(1, Ordering::Relaxed);
+            self.inner.next_batch(max_rows)
+        }
+    }
+
+    #[test]
+    fn fill_batch_caps_each_batch_and_ends_with_none() {
+        let mut it = ValuesIter::new(int_rows(&[&[1], &[2], &[3], &[4], &[5]]));
+        let sizes: Vec<usize> = std::iter::from_fn(|| it.next_batch(2).unwrap())
+            .map(|b| b.len())
+            .collect();
+        assert_eq!(sizes, vec![2, 2, 1]);
+        assert!(it.next_batch(0).unwrap().is_none(), "exhausted stays empty");
+    }
+
+    #[test]
+    fn row_cursor_crosses_batches_and_never_pulls_past_the_end() {
+        for (batch_size, batches) in [(1, 3), (2, 2), (1024, 1)] {
+            let pulls = Arc::new(AtomicUsize::new(0));
+            let input = Counted {
+                inner: ValuesIter::new(int_rows(&[&[1], &[2], &[3]])),
+                pulls: pulls.clone(),
+            };
+            let mut cursor = RowCursor::new(Box::new(input), batch_size);
+            let mut seen = Vec::new();
+            while let Some(row) = cursor.next_row().unwrap() {
+                seen.push(row[0].as_int().unwrap());
+            }
+            assert_eq!(seen, vec![1, 2, 3], "batch_size={batch_size}");
+            assert!(cursor.next_row().unwrap().is_none());
+            assert_eq!(
+                pulls.load(Ordering::Relaxed),
+                batches + 1,
+                "one pull per batch plus the end-of-stream pull"
+            );
+        }
+    }
+
+    #[test]
+    fn collect_is_the_same_at_every_batch_size() {
+        let rows = int_rows(&[&[1], &[2], &[3], &[4], &[5], &[6], &[7]]);
+        for batch_size in [1, 3, 7, 1024] {
+            let out = collect(Box::new(ValuesIter::new(rows.clone())), batch_size).unwrap();
+            assert_eq!(out, rows, "batch_size={batch_size}");
+        }
+    }
+
+    #[test]
+    fn batch_size_zero_is_refused() {
+        assert!(matches!(
+            ExecContext::check_batch_size(0),
+            Err(DbError::Unsupported(_))
+        ));
+        assert_eq!(ExecContext::check_batch_size(1).unwrap(), 1);
     }
 }

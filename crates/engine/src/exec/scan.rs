@@ -77,78 +77,32 @@ impl HeapScanIter {
     }
 }
 
-impl HeapScanIter {
-    /// Decode the next page into `self.current`; `false` when the scan is
-    /// out of pages. One call pins the page once and materializes every
-    /// row on it — the unit of work the batch path amortizes over.
-    fn next_page(&mut self) -> Result<bool> {
-        let Some(pid) = self.pages.next() else {
-            return Ok(false);
-        };
-        let mut rows = Vec::new();
-        self.table
-            .heap
-            .page_rows_into_masked(pid, self.decode_mask.as_deref(), &mut rows)?;
-        self.current = rows.into_iter();
-        Ok(true)
-    }
-}
-
 impl RowIterator for HeapScanIter {
-    fn next(&mut self) -> Result<Option<Row>> {
-        loop {
-            if let Some(row) = self.current.next() {
-                if let Some(f) = &self.filter {
-                    if !f.eval_predicate(&row)? {
-                        continue;
-                    }
-                }
-                let row = match &self.projection {
-                    Some(p) => row.project(p),
-                    None => row,
-                };
-                return Ok(Some(row));
-            }
-            if !self.next_page()? {
-                return Ok(None);
-            }
-        }
-    }
-
-    /// Native batch path: each decoded page becomes one batch wholesale
-    /// (`max_rows` is a hint; a page holds at most a few hundred rows).
+    /// Each decoded page becomes one batch wholesale when it fits in
+    /// `max_rows`, and is handed out in slices of `max_rows` otherwise.
     /// The pushed-down residual predicate narrows the *selection vector*
     /// instead of moving or dropping rows, so a filtered scan does no
     /// per-row copying at all — one page decode, one narrow, one return.
     fn next_batch(&mut self, max_rows: usize) -> Result<Option<RowBatch>> {
         let max = max_rows.max(1);
-        // Drain rows a scalar next() call may have left mid-page first.
-        let mut rows = Vec::new();
-        while rows.len() < max {
-            let Some(row) = self.current.next() else {
-                break;
-            };
-            if let Some(f) = &self.filter {
-                if !f.eval_predicate(&row)? {
-                    continue;
-                }
-            }
-            rows.push(match &self.projection {
-                Some(p) => row.project(p),
-                None => row,
-            });
-        }
-        if !rows.is_empty() {
-            return Ok(Some(RowBatch::from_rows(rows)));
-        }
         loop {
-            let Some(pid) = self.pages.next() else {
-                return Ok(None);
+            if self.current.len() == 0 {
+                let Some(pid) = self.pages.next() else {
+                    return Ok(None);
+                };
+                let mut rows = Vec::new();
+                self.table.heap.page_rows_into_masked(
+                    pid,
+                    self.decode_mask.as_deref(),
+                    &mut rows,
+                )?;
+                self.current = rows.into_iter();
+            }
+            let rows: Vec<Row> = if self.current.len() <= max {
+                std::mem::take(&mut self.current).collect()
+            } else {
+                self.current.by_ref().take(max).collect()
             };
-            let mut rows = Vec::new();
-            self.table
-                .heap
-                .page_rows_into_masked(pid, self.decode_mask.as_deref(), &mut rows)?;
             let mut batch = RowBatch::from_rows(rows);
             if let Some(f) = &self.filter {
                 match &self.kernel {
@@ -272,32 +226,7 @@ fn prefix_bounds(prefix: &[Value]) -> (Bound<Vec<u8>>, Bound<Vec<u8>>) {
 }
 
 impl RowIterator for IndexScanIter {
-    fn next(&mut self) -> Result<Option<Row>> {
-        loop {
-            let Some(encoded) = self.iter.buffer.next() else {
-                if self.iter.done {
-                    return Ok(None);
-                }
-                self.iter.refill()?;
-                if self.iter.buffer.len() == 0 && self.iter.done {
-                    return Ok(None);
-                }
-                continue;
-            };
-            let row = rowfmt::decode_row(&self.schema, &encoded, Compression::Row, None)?;
-            if let Some(f) = &self.filter {
-                if !f.eval_predicate(&row)? {
-                    continue;
-                }
-            }
-            return Ok(Some(match &self.projection {
-                Some(p) => row.project(p),
-                None => row,
-            }));
-        }
-    }
-
-    /// Native batch path: decode a whole run of leaf entries per
+    /// Decode a whole run of leaf entries per
     /// [`rowfmt::decode_rows_into`] call (`OwnedRange` pulls 1024 entries
     /// per tree visit), so one `next_batch` amortizes the tree re-open,
     /// the decode loop and the governor tick over the whole buffer.
@@ -381,12 +310,28 @@ mod tests {
     fn full_scan_with_filter_and_projection() {
         let (_ctx, t) = setup();
         let filter = Expr::binary(BinOp::Eq, Expr::col(1, "grp"), Expr::lit(1));
-        let it = HeapScanIter::new(t, Some(filter), Some(vec![2, 0]), None);
-        let rows = collect(Box::new(it)).unwrap();
-        assert_eq!(rows.len(), 167); // ids 1,4,...,499
-        assert_eq!(rows[0].len(), 2);
-        assert_eq!(rows[0][0], Value::text("SEQ1"));
-        assert_eq!(rows[0][1], Value::Int(1));
+        for batch_size in [1, 7, 1024] {
+            let it = HeapScanIter::new(t.clone(), Some(filter.clone()), Some(vec![2, 0]), None);
+            let rows = collect(Box::new(it), batch_size).unwrap();
+            assert_eq!(rows.len(), 167); // ids 1,4,...,499
+            assert_eq!(rows[0].len(), 2);
+            assert_eq!(rows[0][0], Value::text("SEQ1"));
+            assert_eq!(rows[0][1], Value::Int(1));
+        }
+    }
+
+    #[test]
+    fn heap_scan_batches_never_exceed_the_batch_size() {
+        let (_ctx, t) = setup();
+        for batch_size in [1, 7, 1024] {
+            let mut it = HeapScanIter::new(t.clone(), None, None, None);
+            let mut total = 0;
+            while let Some(batch) = it.next_batch(batch_size).unwrap() {
+                assert!(batch.len() <= batch_size);
+                total += batch.len();
+            }
+            assert_eq!(total, 500);
+        }
     }
 
     #[test]
@@ -396,7 +341,7 @@ mod tests {
         let mut all = Vec::new();
         for p in 0..nparts {
             let it = HeapScanIter::partitioned(t.clone(), None, None, None, p, nparts);
-            all.extend(collect(Box::new(it)).unwrap());
+            all.extend(collect(Box::new(it), 64).unwrap());
         }
         assert_eq!(all.len(), 500);
         let mut ids: Vec<i64> = all.iter().map(|r| r[0].as_int().unwrap()).collect();
@@ -410,7 +355,7 @@ mod tests {
         let (_ctx, t) = setup();
         let idx = t.index_with_prefix(&[0]).unwrap();
         let it = IndexScanIter::new(&t, idx, &[], None, None);
-        let rows = collect(Box::new(it)).unwrap();
+        let rows = collect(Box::new(it), 7).unwrap();
         assert_eq!(rows.len(), 500);
         for (i, r) in rows.iter().enumerate() {
             assert_eq!(r[0], Value::Int(i as i64));
@@ -437,7 +382,7 @@ mod tests {
         }
         let idx = t.index_with_prefix(&[0]).unwrap();
         let it = IndexScanIter::new(&t, idx, &[Value::Int(3)], None, None);
-        let rows = collect(Box::new(it)).unwrap();
+        let rows = collect(Box::new(it), 7).unwrap();
         assert_eq!(rows.len(), 20);
         assert!(rows.iter().all(|r| r[0] == Value::Int(3)));
         // Ordered by the second key column within the prefix.
@@ -450,6 +395,6 @@ mod tests {
         let (_ctx, t) = setup();
         let idx = t.index_with_prefix(&[0]).unwrap();
         let mut it = IndexScanIter::new(&t, idx, &[Value::Int(10_000)], None, None);
-        assert!(it.next().unwrap().is_none());
+        assert!(it.next_batch(16).unwrap().is_none());
     }
 }

@@ -13,7 +13,7 @@ use seqdb_storage::tempspace::SpillReader;
 use seqdb_types::{Result, Row, Value};
 
 use crate::exec::rowser;
-use crate::exec::{BoxedIter, ExecContext, RowIterator};
+use crate::exec::{fill_batch, BoxedIter, ExecContext, RowBatch, RowCursor, RowIterator};
 use crate::expr::Expr;
 use crate::governor::MemCharge;
 
@@ -76,13 +76,14 @@ impl SortIter {
         }
     }
 
-    fn execute(input: &mut BoxedIter, keys: &[SortKey], ctx: &ExecContext) -> Result<SortState> {
+    fn execute(input: BoxedIter, keys: &[SortKey], ctx: &ExecContext) -> Result<SortState> {
         let mut runs: Vec<SpillReader> = Vec::new();
         let mut buffer: Vec<(Vec<Value>, Row)> = Vec::new();
         let mut buffered_bytes = 0usize;
         let mut charge = MemCharge::new(ctx.gov.clone());
 
-        while let Some(row) = input.next()? {
+        let mut input = RowCursor::new(input, ctx.batch_size);
+        while let Some(row) = input.next_row()? {
             let sz = row.size_bytes();
             buffered_bytes += sz;
             // Buffered bytes count against the query's budget; when the
@@ -229,20 +230,17 @@ fn read_entry(run: &mut SpillReader) -> Result<Option<(Vec<Value>, Row)>> {
     Ok(Some((key, row)))
 }
 
-impl RowIterator for SortIter {
-    fn next(&mut self) -> Result<Option<Row>> {
+impl SortIter {
+    fn next_row(&mut self) -> Result<Option<Row>> {
         loop {
             match &mut self.state {
                 SortState::Pending { .. } => {
-                    let SortState::Pending {
-                        mut input,
-                        keys,
-                        ctx,
-                    } = std::mem::replace(&mut self.state, SortState::Done)
+                    let SortState::Pending { input, keys, ctx } =
+                        std::mem::replace(&mut self.state, SortState::Done)
                     else {
                         unreachable!()
                     };
-                    self.state = Self::execute(&mut input, &keys, &ctx)?;
+                    self.state = Self::execute(input, &keys, &ctx)?;
                 }
                 SortState::InMemory(rows, _charge) => return Ok(rows.next()),
                 SortState::Merging(m) => return m.next_row(),
@@ -252,19 +250,25 @@ impl RowIterator for SortIter {
     }
 }
 
+impl RowIterator for SortIter {
+    fn next_batch(&mut self, max_rows: usize) -> Result<Option<RowBatch>> {
+        fill_batch(max_rows, || self.next_row())
+    }
+}
+
 /// TOP n ... ORDER BY: keeps only the best n rows in a bounded heap —
 /// never spills regardless of input size.
 pub struct TopNIter {
-    input: Option<BoxedIter>,
+    input: Option<RowCursor>,
     keys: Vec<SortKey>,
     n: usize,
     output: std::vec::IntoIter<Row>,
 }
 
 impl TopNIter {
-    pub fn new(input: BoxedIter, keys: Vec<SortKey>, n: usize) -> TopNIter {
+    pub fn new(input: BoxedIter, keys: Vec<SortKey>, n: usize, batch_size: usize) -> TopNIter {
         TopNIter {
-            input: Some(input),
+            input: Some(RowCursor::new(input, batch_size)),
             keys,
             n,
             output: Vec::new().into_iter(),
@@ -273,10 +277,10 @@ impl TopNIter {
 }
 
 impl RowIterator for TopNIter {
-    fn next(&mut self) -> Result<Option<Row>> {
+    fn next_batch(&mut self, max_rows: usize) -> Result<Option<RowBatch>> {
         if let Some(mut input) = self.input.take() {
             let mut best: Vec<(Vec<Value>, Row)> = Vec::with_capacity(self.n + 1);
-            while let Some(row) = input.next()? {
+            while let Some(row) = input.next_row()? {
                 let kv = eval_keys(&self.keys, &row)?;
                 // Insertion sort into the bounded buffer; fine for the
                 // small n of TOP queries.
@@ -294,7 +298,7 @@ impl RowIterator for TopNIter {
                 .collect::<Vec<_>>()
                 .into_iter();
         }
-        Ok(self.output.next())
+        fill_batch(max_rows, || Ok(self.output.next()))
     }
 }
 
@@ -325,7 +329,7 @@ mod tests {
             vec![SortKey::asc(Expr::col(0, "id"))],
             ctx.clone(),
         );
-        let sorted = collect(Box::new(it)).unwrap();
+        let sorted = collect(Box::new(it), 7).unwrap();
         assert_eq!(sorted[0][0], Value::Int(0));
         assert_eq!(sorted[99][0], Value::Int(99));
 
@@ -334,7 +338,7 @@ mod tests {
             vec![SortKey::desc(Expr::col(0, "id"))],
             ctx,
         );
-        let sorted = collect(Box::new(it)).unwrap();
+        let sorted = collect(Box::new(it), 7).unwrap();
         assert_eq!(sorted[0][0], Value::Int(99));
     }
 
@@ -349,7 +353,7 @@ mod tests {
             vec![SortKey::asc(Expr::col(0, "id"))],
             ctx.clone(),
         );
-        let sorted = collect(Box::new(it)).unwrap();
+        let sorted = collect(Box::new(it), 7).unwrap();
         assert_eq!(sorted.len(), 5000);
         for (i, r) in sorted.iter().enumerate() {
             assert_eq!(r[0], Value::Int(i as i64));
@@ -373,7 +377,7 @@ mod tests {
             vec![SortKey::asc(Expr::col(0, "id"))],
             ctx.clone(),
         );
-        let sorted = collect(Box::new(it)).unwrap();
+        let sorted = collect(Box::new(it), 7).unwrap();
         assert_eq!(sorted.len(), 5000);
         for (i, r) in sorted.iter().enumerate() {
             assert_eq!(r[0], Value::Int(i as i64));
@@ -394,7 +398,7 @@ mod tests {
             ],
             ctx,
         );
-        let sorted = collect(Box::new(it)).unwrap();
+        let sorted = collect(Box::new(it), 7).unwrap();
         let flat: Vec<(i64, i64)> = sorted
             .iter()
             .map(|r| (r[0].as_int().unwrap(), r[1].as_int().unwrap()))
@@ -409,8 +413,9 @@ mod tests {
             Box::new(ValuesIter::new(rows)),
             vec![SortKey::desc(Expr::col(0, "id"))],
             5,
+            3,
         );
-        let top = collect(Box::new(it)).unwrap();
+        let top = collect(Box::new(it), 2).unwrap();
         let ids: Vec<i64> = top.iter().map(|r| r[0].as_int().unwrap()).collect();
         assert_eq!(ids, vec![999, 998, 997, 996, 995]);
     }
@@ -423,6 +428,6 @@ mod tests {
             vec![SortKey::asc(Expr::col(0, "x"))],
             ctx,
         );
-        assert!(collect(Box::new(it)).unwrap().is_empty());
+        assert!(collect(Box::new(it), 1).unwrap().is_empty());
     }
 }

@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use seqdb_types::{Result, Row, Value};
 
-use crate::exec::{BoxedIter, RowIterator};
+use crate::exec::{fill_batch, BoxedIter, RowBatch, RowCursor, RowIterator};
 use crate::governor::{MemCharge, QueryGovernor};
 
 /// Rough bytes held by one buffered peer row.
@@ -30,7 +30,7 @@ fn peer_row_cost(row: &Row) -> usize {
 /// Appends a 1-based row number column to each input row. The input must
 /// already be ordered per the window's ORDER BY.
 pub struct RowNumberIter {
-    input: BoxedIter,
+    input: RowCursor,
     counter: i64,
     /// If true, the number is prepended instead of appended (Query 1
     /// selects the rank first).
@@ -50,9 +50,9 @@ pub struct RowNumberIter {
 }
 
 impl RowNumberIter {
-    pub fn new(input: BoxedIter, prepend: bool) -> RowNumberIter {
+    pub fn new(input: BoxedIter, prepend: bool, batch_size: usize) -> RowNumberIter {
         RowNumberIter {
-            input,
+            input: RowCursor::new(input, batch_size),
             counter: 0,
             prepend,
             order_cols: Vec::new(),
@@ -71,9 +71,10 @@ impl RowNumberIter {
         prepend: bool,
         order_cols: Vec<usize>,
         gov: Arc<QueryGovernor>,
+        batch_size: usize,
     ) -> RowNumberIter {
         RowNumberIter {
-            input,
+            input: RowCursor::new(input, batch_size),
             counter: 0,
             prepend,
             order_cols,
@@ -86,12 +87,10 @@ impl RowNumberIter {
 
     fn number(&mut self, row: Row) -> Row {
         self.counter += 1;
-        let mut vals = Vec::with_capacity(row.len() + 1);
+        let mut vals = row.into_values();
         if self.prepend {
-            vals.push(Value::Int(self.counter));
-            vals.extend_from_slice(row.values());
+            vals.insert(0, Value::Int(self.counter));
         } else {
-            vals.extend_from_slice(row.values());
             vals.push(Value::Int(self.counter));
         }
         Row::new(vals)
@@ -109,7 +108,7 @@ impl RowNumberIter {
     fn fill_frame(&mut self) -> Result<()> {
         let first = match self.lookahead.take() {
             Some(r) => Some(r),
-            None => self.input.next()?,
+            None => self.input.next_row()?,
         };
         let Some(first) = first else {
             self.done = true;
@@ -120,7 +119,7 @@ impl RowNumberIter {
         }
         let mut frame = vec![first];
         loop {
-            match self.input.next()? {
+            match self.input.next_row()? {
                 None => break,
                 Some(row) => {
                     if self.same_peers(&frame[0], &row) {
@@ -141,11 +140,11 @@ impl RowNumberIter {
     }
 }
 
-impl RowIterator for RowNumberIter {
-    fn next(&mut self) -> Result<Option<Row>> {
+impl RowNumberIter {
+    fn next_row(&mut self) -> Result<Option<Row>> {
         if self.order_cols.is_empty() {
             // Streaming mode: a Sort below already buffered the rows.
-            return match self.input.next()? {
+            return match self.input.next_row()? {
                 None => Ok(None),
                 Some(row) => Ok(Some(self.number(row))),
             };
@@ -165,6 +164,12 @@ impl RowIterator for RowNumberIter {
     }
 }
 
+impl RowIterator for RowNumberIter {
+    fn next_batch(&mut self, max_rows: usize) -> Result<Option<RowBatch>> {
+        fill_batch(max_rows, || self.next_row())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -175,8 +180,8 @@ mod tests {
     #[test]
     fn numbers_rows_in_order() {
         let rows = int_rows(&[&[30], &[20], &[10]]);
-        let it = RowNumberIter::new(Box::new(ValuesIter::new(rows)), false);
-        let out = collect(Box::new(it)).unwrap();
+        let it = RowNumberIter::new(Box::new(ValuesIter::new(rows)), false, 2);
+        let out = collect(Box::new(it), 1).unwrap();
         let pairs: Vec<(i64, i64)> = out
             .iter()
             .map(|r| (r[0].as_int().unwrap(), r[1].as_int().unwrap()))
@@ -187,8 +192,8 @@ mod tests {
     #[test]
     fn prepend_mode() {
         let rows = int_rows(&[&[7]]);
-        let it = RowNumberIter::new(Box::new(ValuesIter::new(rows)), true);
-        let out = collect(Box::new(it)).unwrap();
+        let it = RowNumberIter::new(Box::new(ValuesIter::new(rows)), true, 1024);
+        let out = collect(Box::new(it), 1024).unwrap();
         assert_eq!(out[0].values(), &[Value::Int(1), Value::Int(7)]);
     }
 
@@ -202,10 +207,13 @@ mod tests {
             false,
             vec![0],
             gov.clone(),
+            2,
         );
         let mut nums = Vec::new();
-        while let Some(r) = it.next().unwrap() {
-            nums.push((r[0].as_int().unwrap(), r[2].as_int().unwrap()));
+        while let Some(batch) = it.next_batch(4).unwrap() {
+            for r in batch.iter() {
+                nums.push((r[0].as_int().unwrap(), r[2].as_int().unwrap()));
+            }
         }
         assert_eq!(
             nums,
@@ -226,9 +234,10 @@ mod tests {
             false,
             vec![0],
             gov.clone(),
+            1,
         );
         let err = loop {
-            match it.next() {
+            match it.next_batch(1) {
                 Ok(Some(_)) => continue,
                 Ok(None) => panic!("expected the frame to exceed the budget"),
                 Err(e) => break e,

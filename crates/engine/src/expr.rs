@@ -205,7 +205,7 @@ pub fn eval_into(exprs: &[Expr], row: &Row, out: &mut Vec<Value>) -> Result<()> 
     Ok(())
 }
 
-/// A type-specialized comparison kernel for the vectorized path:
+/// A type-specialized comparison kernel for batch filters:
 /// `column <op> integer-literal` predicates (either operand order)
 /// evaluate directly against the stored value instead of walking the
 /// expression tree per row. Rows whose stored value is neither `Int` nor

@@ -6,7 +6,7 @@
 //! server, so a misbehaving query must be containable without killing the
 //! process. Every query gets one [`QueryGovernor`] (created by
 //! `Database::exec_context`); operators check it cooperatively between
-//! rows and charge it for buffered bytes. Operators that can degrade
+//! batches and charge it for buffered bytes. Operators that can degrade
 //! (sort, hash aggregate) spill to `storage::tempspace` when the budget
 //! runs out; the rest fail the query with
 //! [`DbError::ResourceExhausted`].
@@ -16,7 +16,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use seqdb_storage::SpillTally;
-use seqdb_types::{DbError, Result, Row};
+use seqdb_types::{DbError, Result};
 
 use crate::exec::{BoxedIter, RowBatch, RowIterator};
 
@@ -24,10 +24,6 @@ use crate::exec::{BoxedIter, RowBatch, RowIterator};
 const RUNNING: u8 = 0;
 const CANCELLED: u8 = 1;
 const TIMED_OUT: u8 = 2;
-
-/// How many cooperative checks between (comparatively expensive)
-/// deadline reads. The cancel flag itself is checked on every call.
-const DEADLINE_STRIDE: u32 = 64;
 
 /// Shared, thread-safe per-query limits. Cloned (via `Arc`) into every
 /// operator of a plan, including parallel workers.
@@ -82,8 +78,8 @@ impl QueryGovernor {
         self.state.load(Ordering::Relaxed) != RUNNING
     }
 
-    /// Cheap cooperative check: cancel flag only. Called once per row per
-    /// governed operator.
+    /// Cheap cooperative check: cancel flag only (the admission gate
+    /// polls it while a statement waits).
     pub fn check(&self) -> Result<()> {
         match self.state.load(Ordering::Relaxed) {
             RUNNING => Ok(()),
@@ -93,7 +89,9 @@ impl QueryGovernor {
     }
 
     /// Full cooperative check: cancel flag plus wall-clock deadline.
-    /// Called every [`DEADLINE_STRIDE`] rows to amortize `Instant::now`.
+    /// Called once per batch at every operator boundary, so a batch
+    /// amortizes the clock read and KILL/timeout latency stays at batch
+    /// granularity.
     pub fn check_deadline(&self) -> Result<()> {
         self.check()?;
         if let Some(d) = self.deadline {
@@ -244,87 +242,30 @@ impl Drop for MemCharge {
     }
 }
 
-/// Stride counter for cooperative checks: cancel flag every call, the
-/// deadline every [`DEADLINE_STRIDE`] calls (the first call included, so
-/// an already-expired query fails before producing a row).
-pub struct Ticker {
-    n: u32,
-}
-
-impl Ticker {
-    pub fn new() -> Ticker {
-        Ticker { n: 0 }
-    }
-
-    pub fn tick(&mut self, gov: &QueryGovernor) -> Result<()> {
-        let full = self.n.is_multiple_of(DEADLINE_STRIDE);
-        self.n = self.n.wrapping_add(1);
-        if full {
-            gov.check_deadline()
-        } else {
-            gov.check()
-        }
-    }
-
-    /// One cooperative check per *batch*: always the full check. A batch
-    /// already amortizes ~a thousand rows, so the deadline read costs
-    /// nothing per row — and checking it every batch keeps KILL and
-    /// timeout latency at batch granularity instead of
-    /// `DEADLINE_STRIDE × batch` rows.
-    pub fn tick_batch(&mut self, gov: &QueryGovernor) -> Result<()> {
-        self.n = self.n.wrapping_add(1);
-        gov.check_deadline()
-    }
-}
-
-impl Default for Ticker {
-    fn default() -> Self {
-        Ticker::new()
-    }
-}
-
 /// Wraps any operator with cooperative cancellation/timeout checks.
 /// `Plan::open` wraps every node it builds, so blocking operators that
 /// drain a child (sort, hash agg, hash join build) hit a check on every
-/// input row even though their own `next()` is called rarely.
+/// input batch even though their own output is pulled rarely.
 pub struct GovernedIter {
     inner: BoxedIter,
     gov: Arc<QueryGovernor>,
-    ticker: Ticker,
 }
 
 impl GovernedIter {
     pub fn new(inner: BoxedIter, gov: Arc<QueryGovernor>) -> GovernedIter {
-        GovernedIter {
-            inner,
-            gov,
-            ticker: Ticker::new(),
-        }
+        GovernedIter { inner, gov }
     }
 }
 
 impl RowIterator for GovernedIter {
-    fn next(&mut self) -> Result<Option<Row>> {
-        self.ticker.tick(&self.gov)?;
-        self.inner.next()
-    }
-
-    /// Batch pass-through: one full cooperative check per batch instead
-    /// of one cheap check per row, then delegate. This override is what
-    /// keeps batches intact across operator boundaries — `Plan::open`
-    /// wraps every node in a `GovernedIter`, so without it every batch
-    /// would silently degrade to the row loop here.
+    /// One full cooperative check per batch, then delegate.
     fn next_batch(&mut self, max_rows: usize) -> Result<Option<RowBatch>> {
-        self.ticker.tick_batch(&self.gov)?;
+        self.gov.check_deadline()?;
         let batch = self.inner.next_batch(max_rows)?;
         if let Some(b) = &batch {
-            let counters = crate::stats::engine_counters();
-            let bucket = if b.is_fallback() {
-                &counters.batch_fallback_rows
-            } else {
-                &counters.batch_rows
-            };
-            bucket.fetch_add(b.len() as u64, Ordering::Relaxed);
+            crate::stats::engine_counters()
+                .batch_rows
+                .fetch_add(b.len() as u64, Ordering::Relaxed);
         }
         Ok(batch)
     }
@@ -334,7 +275,7 @@ impl RowIterator for GovernedIter {
 mod tests {
     use super::*;
     use crate::exec::{collect, ValuesIter};
-    use seqdb_types::Value;
+    use seqdb_types::{Row, Value};
 
     fn rows(n: i64) -> Vec<Row> {
         (0..n).map(|i| Row::new(vec![Value::Int(i)])).collect()
@@ -355,7 +296,10 @@ mod tests {
         gov.cancel();
         assert!(matches!(gov.check(), Err(DbError::Cancelled(_))));
         let it = GovernedIter::new(Box::new(ValuesIter::new(rows(10))), gov);
-        assert!(matches!(collect(Box::new(it)), Err(DbError::Cancelled(_))));
+        assert!(matches!(
+            collect(Box::new(it), 1),
+            Err(DbError::Cancelled(_))
+        ));
     }
 
     #[test]
@@ -363,18 +307,21 @@ mod tests {
         let gov = QueryGovernor::new(Some(Duration::ZERO), None);
         std::thread::sleep(Duration::from_millis(2));
         let it = GovernedIter::new(Box::new(ValuesIter::new(rows(10))), gov.clone());
-        assert!(matches!(collect(Box::new(it)), Err(DbError::Timeout(_))));
+        assert!(matches!(
+            collect(Box::new(it), 1024),
+            Err(DbError::Timeout(_))
+        ));
         // Once timed out, plain checks report Timeout, not Cancelled.
         assert!(matches!(gov.check(), Err(DbError::Timeout(_))));
     }
 
     #[test]
-    fn timeout_fires_mid_stream_within_the_stride() {
+    fn timeout_fires_mid_stream_between_batches() {
         let gov = QueryGovernor::new(Some(Duration::from_millis(10)), None);
         let mut it = GovernedIter::new(Box::new(ValuesIter::new(rows(1_000_000))), gov);
         let mut n = 0u64;
         let err = loop {
-            match it.next() {
+            match it.next_batch(1) {
                 Ok(Some(_)) => n += 1,
                 Ok(None) => panic!("expected timeout, drained {n} rows"),
                 Err(e) => break e,

@@ -26,18 +26,19 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use seqdb_types::{DbError, Result, Row};
+use seqdb_types::{DbError, Result};
 
 use crate::catalog::Table;
 use crate::exec::agg::{
-    aggregate_level, aggregate_partial_spilling, group_cost, merge_maps, AggSpec, ChainRows,
-    GroupedStates, OutputBuffer, OutputRows, SpillRowIter, SPILL_PARTITIONS,
+    aggregate_level, aggregate_partial_spilling, empty_input_row, finish_group, group_cost,
+    merge_maps, AggSpec, ChainRows, GroupedStates, OutputBuffer, OutputRows, SpillRowIter,
+    SPILL_PARTITIONS,
 };
 use crate::exec::scan::HeapScanIter;
-use crate::exec::{ExecContext, RowIterator};
+use crate::exec::{ExecContext, RowBatch, RowIterator};
 use crate::expr::Expr;
-use crate::governor::{MemCharge, QueryGovernor, Ticker};
-use crate::udx::{panic_payload, protect};
+use crate::governor::{MemCharge, QueryGovernor};
+use crate::udx::panic_payload;
 
 /// Pick the error a failed parallel phase should surface: the first
 /// non-`Cancelled` error is the root cause — siblings that were told to
@@ -157,14 +158,13 @@ impl ParallelAggIter {
                 let aggs = self.aggs.clone();
                 let temp = temp.clone();
                 let tallies = self.ctx.spill_tallies();
-                let batch_hint = self.ctx.batch_size;
+                let batch_size = self.ctx.batch_size;
                 handles.push(scope.spawn(move || {
                     let start = Instant::now();
                     let mut scan = CountingIter {
                         inner: HeapScanIter::partitioned(table, filter, None, decode_mask, w, dop),
                         rows: 0,
                         gov: gov.clone(),
-                        ticker: Ticker::new(),
                     };
                     // Workers share the query's governor: their partial
                     // maps charge one common budget, and they stop at the
@@ -185,10 +185,10 @@ impl ParallelAggIter {
                         &mut charge,
                         &temp,
                         &tallies,
-                        Some(&gov),
+                        &gov,
                         cap,
                         0,
-                        batch_hint,
+                        batch_size,
                     );
                     if result.is_err() {
                         // Fail fast: siblings notice at their next
@@ -280,29 +280,16 @@ impl ParallelAggIter {
 
         // Emit the resident groups last — only now are they complete.
         for (key, states) in resident.drain() {
-            let mut vals = key;
-            for (mut s, spec) in states.into_iter().zip(&self.aggs) {
-                vals.push(protect(spec.factory.name(), || s.finish())?);
-            }
-            out.push(Row::new(vals))?;
+            out.push(finish_group(key, states, &self.aggs)?)?;
         }
         drop(resident_charge);
 
-        if out.is_empty() && self.group_exprs.is_empty() {
-            // Global aggregate over an empty table still yields one row.
-            let mut vals = Vec::new();
-            for a in &self.aggs {
-                vals.push(protect(a.factory.name(), || {
-                    let mut s = a.factory.create();
-                    s.finish()
-                })?);
-            }
-            self.stats.sort_by_key(|s| s.worker);
-            self.output = Some(OutputRows::from_vec(vec![Row::new(vals)]));
-            return Ok(());
-        }
         self.stats.sort_by_key(|s| s.worker);
-        self.output = Some(out.into_rows()?);
+        self.output = Some(if out.is_empty() && self.group_exprs.is_empty() {
+            OutputRows::from_vec(vec![empty_input_row(&self.aggs)?])
+        } else {
+            out.into_rows()?
+        });
         Ok(())
     }
 }
@@ -311,25 +298,13 @@ struct CountingIter {
     inner: HeapScanIter,
     rows: u64,
     gov: Arc<QueryGovernor>,
-    ticker: Ticker,
 }
 
 impl RowIterator for CountingIter {
-    fn next(&mut self) -> Result<Option<Row>> {
-        // Workers run outside the plan's GovernedIter wrappers, so the
-        // cooperative check lives here.
-        self.ticker.tick(&self.gov)?;
-        let r = self.inner.next()?;
-        if r.is_some() {
-            self.rows += 1;
-        }
-        Ok(r)
-    }
-
-    /// Batch feed for the worker: one cooperative check per page-sized
-    /// batch from the partitioned heap scan instead of one per row.
-    fn next_batch(&mut self, max_rows: usize) -> Result<Option<crate::exec::RowBatch>> {
-        self.ticker.tick_batch(&self.gov)?;
+    /// Workers run outside the plan's `GovernedIter` wrappers, so the
+    /// cooperative check lives here: one per page-sized batch.
+    fn next_batch(&mut self, max_rows: usize) -> Result<Option<RowBatch>> {
+        self.gov.check_deadline()?;
         let batch = self.inner.next_batch(max_rows)?;
         if let Some(b) = &batch {
             self.rows += b.len() as u64;
@@ -339,12 +314,12 @@ impl RowIterator for CountingIter {
 }
 
 impl RowIterator for ParallelAggIter {
-    fn next(&mut self) -> Result<Option<Row>> {
+    fn next_batch(&mut self, max_rows: usize) -> Result<Option<RowBatch>> {
         if self.output.is_none() {
             self.execute()?;
         }
         match self.output.as_mut() {
-            Some(rows) => rows.next(),
+            Some(rows) => rows.next_batch(max_rows),
             None => Ok(None),
         }
     }
@@ -358,7 +333,7 @@ mod tests {
     use crate::expr::BinOp;
     use crate::udx::{AggState, Aggregate, CountAgg, SumAgg};
     use seqdb_storage::rowfmt::Compression;
-    use seqdb_types::{Column, DataType, Schema, Value};
+    use seqdb_types::{Column, DataType, Row, Schema, Value};
 
     fn setup(nrows: i64) -> (crate::exec::ExecContext, Arc<Table>) {
         let ctx = test_context();
@@ -398,7 +373,7 @@ mod tests {
         let serial = {
             let scan = Box::new(HeapScanIter::new(t.clone(), None, None, None));
             let it = crate::exec::agg::HashAggIter::new(scan, group.clone(), specs(), _ctx.clone());
-            let mut rows = collect(Box::new(it)).unwrap();
+            let mut rows = collect(Box::new(it), 64).unwrap();
             rows.sort_by_key(|r| r[0].as_int().unwrap());
             rows
         };
@@ -408,8 +383,8 @@ mod tests {
                 ParallelAggIter::new(t.clone(), None, group.clone(), specs(), dop, _ctx.clone())
                     .unwrap();
             let mut rows = Vec::new();
-            while let Some(r) = par.next().unwrap() {
-                rows.push(r);
+            while let Some(batch) = par.next_batch(3).unwrap() {
+                rows.extend(batch.into_rows());
             }
             rows.sort_by_key(|r| r[0].as_int().unwrap());
             assert_eq!(rows, serial, "dop={dop}");
@@ -433,9 +408,9 @@ mod tests {
             _ctx,
         )
         .unwrap();
-        let row = par.next().unwrap().unwrap();
-        assert_eq!(row[0], Value::Int(100));
-        assert!(par.next().unwrap().is_none());
+        let batch = par.next_batch(1024).unwrap().unwrap();
+        assert_eq!(batch.into_rows()[0][0], Value::Int(100));
+        assert!(par.next_batch(1024).unwrap().is_none());
     }
 
     #[test]
@@ -450,7 +425,10 @@ mod tests {
             _ctx,
         )
         .unwrap();
-        assert_eq!(par.next().unwrap().unwrap()[0], Value::Int(0));
+        assert_eq!(
+            par.next_batch(1).unwrap().unwrap().into_rows()[0][0],
+            Value::Int(0)
+        );
     }
 
     #[test]
@@ -524,7 +502,9 @@ mod tests {
             _ctx.clone(),
         )
         .unwrap();
-        let err = par.next().unwrap_err();
+        let Err(err) = par.next_batch(1024) else {
+            panic!("expected the query to fail");
+        };
         // The panic is caught at the UDA boundary inside the worker and
         // surfaces as a typed UdxPanic naming the aggregate.
         match &err {
@@ -546,7 +526,10 @@ mod tests {
             healthy,
         )
         .unwrap();
-        assert_eq!(ok.next().unwrap().unwrap()[0], Value::Int(5000));
+        assert_eq!(
+            ok.next_batch(1).unwrap().unwrap().into_rows()[0][0],
+            Value::Int(5000)
+        );
     }
 
     #[test]
@@ -558,7 +541,7 @@ mod tests {
         let serial = {
             let scan = Box::new(HeapScanIter::new(t.clone(), None, None, None));
             let it = crate::exec::agg::HashAggIter::new(scan, group.clone(), specs(), ctx.clone());
-            let mut rows = collect(Box::new(it)).unwrap();
+            let mut rows = collect(Box::new(it), 64).unwrap();
             rows.sort_by_key(|r| r[0].as_int().unwrap());
             rows
         };
@@ -571,8 +554,8 @@ mod tests {
         tight.temp.reset_counters();
         let mut par = ParallelAggIter::new(t, None, group, specs(), 4, tight.clone()).unwrap();
         let mut rows = Vec::new();
-        while let Some(r) = par.next().unwrap() {
-            rows.push(r);
+        while let Some(batch) = par.next_batch(1024).unwrap() {
+            rows.extend(batch.into_rows());
         }
         rows.sort_by_key(|r| r[0].as_int().unwrap());
         assert_eq!(rows, serial);
@@ -603,7 +586,9 @@ mod tests {
             starved.clone(),
         )
         .unwrap();
-        let err = par.next().unwrap_err();
+        let Err(err) = par.next_batch(1024) else {
+            panic!("expected the query to fail");
+        };
         assert!(matches!(err, DbError::ResourceExhausted(_)), "{err}");
         drop(par);
         assert_eq!(gov.mem_used(), 0, "worker charges released on failure");
@@ -622,9 +607,8 @@ mod tests {
             inner: HeapScanIter::new(t, None, None, None),
             rows: 0,
             gov: QueryGovernor::unlimited(),
-            ticker: Ticker::new(),
         };
-        while c.next().unwrap().is_some() {}
+        while c.next_batch(7).unwrap().is_some() {}
         assert_eq!(c.rows, 100);
         let _ = ValuesIter::new(vec![]);
     }

@@ -105,10 +105,11 @@ impl Session {
         self.settings.lock().join_strategy = Some(strategy);
     }
 
-    /// Session-scoped `SET BATCH_SIZE`; 0 forces row-at-a-time execution
-    /// for this session's statements.
-    pub fn set_batch_size(&self, rows: usize) {
-        self.settings.lock().batch_size = Some(rows);
+    /// Session-scoped `SET BATCH_SIZE`; 1 runs this session's statements
+    /// row-at-a-time, 0 fails typed.
+    pub fn set_batch_size(&self, rows: usize) -> Result<()> {
+        self.settings.lock().batch_size = Some(crate::exec::ExecContext::check_batch_size(rows)?);
+        Ok(())
     }
 
     /// The configuration this session's next statement runs under:

@@ -9,8 +9,8 @@
 //!   through `Plan::open`. Every operator node registers one
 //!   [`NodeStats`] slot (in pre-order, matching the `EXPLAIN` rendering
 //!   order) and is wrapped in a [`StatsIter`] that records rows produced,
-//!   `next()` calls, cumulative wall time and the query-memory high-water
-//!   observed while the node was active. Slots are `Arc`-shared with the
+//!   `next_batch` calls, batches, cumulative wall time and the
+//!   query-memory high-water observed while the node was active. Slots are `Arc`-shared with the
 //!   collector, so the numbers survive even when the pipeline is dropped
 //!   mid-stream by a cancellation or `KILL` — nothing is flushed on
 //!   close, because nothing ever lived only inside the iterator.
@@ -28,7 +28,7 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 
 use seqdb_storage::SpillTally;
-use seqdb_types::{Result, Row};
+use seqdb_types::Result;
 
 use crate::exec::{BoxedIter, RowBatch, RowIterator};
 use crate::governor::QueryGovernor;
@@ -40,7 +40,7 @@ pub struct NodeStats {
     pub label: &'static str,
     rows: AtomicU64,
     nexts: AtomicU64,
-    /// Batches this node delivered via `next_batch` (0 = pure row path).
+    /// Batches this node delivered.
     batches: AtomicU64,
     elapsed_nanos: AtomicU64,
     peak_mem: AtomicU64,
@@ -66,20 +66,19 @@ impl NodeStats {
         self.rows.load(Ordering::Relaxed)
     }
 
-    /// `next()` calls made on this node (rows + the final end-of-stream
-    /// pull, unless the consumer stopped early).
+    /// `next_batch` calls made on this node (batches + the final
+    /// end-of-stream pull, unless the consumer stopped early).
     pub fn nexts(&self) -> u64 {
         self.nexts.load(Ordering::Relaxed)
     }
 
-    /// Batches this node delivered through the vectorized path; 0 means
-    /// every row moved through the scalar `next()` protocol.
+    /// Batches this node delivered (0 when it produced no rows).
     pub fn batches(&self) -> u64 {
         self.batches.load(Ordering::Relaxed)
     }
 
-    /// Cumulative wall time spent inside this node's `next()`, children
-    /// included (the SQL Server showplan convention).
+    /// Cumulative wall time spent inside this node's `next_batch`,
+    /// children included (the SQL Server showplan convention).
     pub fn elapsed(&self) -> Duration {
         Duration::from_nanos(self.elapsed_nanos.load(Ordering::Relaxed))
     }
@@ -146,8 +145,10 @@ impl ExecStats {
 }
 
 /// Wraps an operator and records its actual numbers into a shared
-/// [`NodeStats`] on every call — there is no flush-on-close step, so an
-/// early drop (LIMIT, cancellation, KILL) loses nothing.
+/// [`NodeStats`] on every batch — there is no flush-on-close step, so an
+/// early drop (LIMIT, cancellation, KILL) loses nothing. One timing read,
+/// one `nexts` bump and one `rows += batch.len()` per batch, so actuals
+/// cost the same whether the node moved one row or a thousand.
 pub struct StatsIter {
     inner: BoxedIter,
     node: Arc<NodeStats>,
@@ -161,27 +162,6 @@ impl StatsIter {
 }
 
 impl RowIterator for StatsIter {
-    fn next(&mut self) -> Result<Option<Row>> {
-        let start = Instant::now();
-        let out = self.inner.next();
-        self.node
-            .elapsed_nanos
-            .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        self.node.nexts.fetch_add(1, Ordering::Relaxed);
-        if matches!(out, Ok(Some(_))) {
-            self.node.rows.fetch_add(1, Ordering::Relaxed);
-        }
-        self.node
-            .peak_mem
-            .fetch_max(self.gov.mem_used() as u64, Ordering::Relaxed);
-        out
-    }
-
-    /// Batch pass-through: one timing read, one `nexts` bump and one
-    /// `rows += batch.len()` per batch, so actuals cost the same whether
-    /// the node moved one row or a thousand. Like `GovernedIter`, this
-    /// override is required for batches to cross the per-node wrapping in
-    /// `Plan::open` intact.
     fn next_batch(&mut self, max_rows: usize) -> Result<Option<RowBatch>> {
         let start = Instant::now();
         let out = self.inner.next_batch(max_rows);
@@ -214,15 +194,10 @@ pub struct EngineCounters {
     pub udx_panics: AtomicU64,
     /// Queries stopped by the governor's wall-clock timeout.
     pub timeouts: AtomicU64,
-    /// Rows that crossed an operator boundary inside a natively produced
-    /// batch (counted once per governed boundary, so deep plans count a
-    /// row once per level — the same convention as per-node actuals).
+    /// Rows that crossed an operator boundary (counted once per governed
+    /// boundary, so deep plans count a row once per level — the same
+    /// convention as per-node actuals).
     pub batch_rows: AtomicU64,
-    /// Rows that crossed a governed boundary in a batch assembled by the
-    /// row-at-a-time fallback loop (sort, window, apply, UDX...). A high
-    /// ratio of fallback to native rows shows where the batch path has
-    /// not reached yet.
-    pub batch_fallback_rows: AtomicU64,
 }
 
 impl EngineCounters {
@@ -235,7 +210,6 @@ impl EngineCounters {
             ("udx_panics", ld(&self.udx_panics)),
             ("governed_timeouts", ld(&self.timeouts)),
             ("batch_rows", ld(&self.batch_rows)),
-            ("batch_fallback_rows", ld(&self.batch_fallback_rows)),
         ]
     }
 }
@@ -246,7 +220,6 @@ static ENGINE: EngineCounters = EngineCounters {
     udx_panics: AtomicU64::new(0),
     timeouts: AtomicU64::new(0),
     batch_rows: AtomicU64::new(0),
-    batch_fallback_rows: AtomicU64::new(0),
 };
 
 /// The process-global engine-counter registry.
@@ -343,22 +316,23 @@ impl QueryStatsHistory {
 mod tests {
     use super::*;
     use crate::exec::{collect, ValuesIter};
-    use seqdb_types::Value;
+    use seqdb_types::{Row, Value};
 
     fn rows(n: i64) -> Vec<Row> {
         (0..n).map(|i| Row::new(vec![Value::Int(i)])).collect()
     }
 
     #[test]
-    fn stats_iter_counts_rows_and_calls() {
+    fn stats_iter_counts_rows_batches_and_calls() {
         let stats = ExecStats::new();
         let node = stats.register("Constant Scan");
         let gov = QueryGovernor::unlimited();
         let it = StatsIter::new(Box::new(ValuesIter::new(rows(5))), node.clone(), gov);
-        let out = collect(Box::new(it)).unwrap();
+        let out = collect(Box::new(it), 2).unwrap();
         assert_eq!(out.len(), 5);
         assert_eq!(node.rows(), 5);
-        assert_eq!(node.nexts(), 6, "5 rows + 1 end-of-stream pull");
+        assert_eq!(node.batches(), 3, "batches of 2, 2 and 1");
+        assert_eq!(node.nexts(), 4, "3 batches + 1 end-of-stream pull");
         assert_eq!(stats.nodes().len(), 1);
     }
 
@@ -369,7 +343,7 @@ mod tests {
         let gov = QueryGovernor::unlimited();
         let mut it = StatsIter::new(Box::new(ValuesIter::new(rows(100))), node.clone(), gov);
         for _ in 0..7 {
-            it.next().unwrap();
+            it.next_batch(1).unwrap();
         }
         drop(it);
         assert_eq!(node.rows(), 7, "stats survive an early iterator drop");
@@ -387,9 +361,9 @@ mod tests {
             node.clone(),
             gov.clone(),
         );
-        it.next().unwrap();
+        it.next_batch(1).unwrap();
         gov.release(4096);
-        it.next().unwrap();
+        it.next_batch(1).unwrap();
         assert!(node.peak_mem_bytes() >= 4096);
     }
 

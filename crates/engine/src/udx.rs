@@ -74,7 +74,7 @@ pub trait AggState: Send {
     /// `Accumulate(...)`: fold in one input row's argument values.
     fn update(&mut self, args: &[Value]) -> Result<()>;
     /// Fold in `n` rows that all produced the same argument values —
-    /// the vectorized path uses this to collapse an argument-free run
+    /// batch execution uses this to collapse an argument-free run
     /// (`COUNT(*)` over a batch) into one call. The default repeats
     /// [`AggState::update`], so user aggregates keep exact semantics.
     fn update_n(&mut self, args: &[Value], n: u64) -> Result<()> {

@@ -92,8 +92,9 @@ pub fn execute_statement_on(
                         ))
                     })?,
                 ),
-                // 0 = forced row-at-a-time (batch protocol off).
-                "BATCH_SIZE" => session.set_batch_size(value as usize),
+                "BATCH_SIZE" => {
+                    session.set_batch_size(usize::try_from(value).unwrap_or(usize::MAX))?
+                }
                 // Admission control is a property of the shared pool, not
                 // of one session: these stay server-wide.
                 "ADMISSION_POOL_KB" => db.set_admission_pool_kb(v),
@@ -267,8 +268,7 @@ pub fn execute_statement(db: &Arc<Database>, stmt: &Statement) -> Result<QueryRe
                         ))
                     })?)
                 }
-                // 0 = forced row-at-a-time (batch protocol off).
-                "BATCH_SIZE" => db.set_batch_size(value as usize),
+                "BATCH_SIZE" => db.set_batch_size(usize::try_from(value).unwrap_or(usize::MAX))?,
                 "ADMISSION_POOL_KB" => db.set_admission_pool_kb(v),
                 "ADMISSION_WAIT_MS" => db.set_admission_wait_ms(value as u64),
                 "ADMISSION_QUEUE_SLOTS" => db.set_admission_queue_slots(value as usize),

@@ -1,8 +1,8 @@
-//! Vectorized-execution equivalence and robustness: batch mode must be
-//! observably identical to row-at-a-time execution (same result
-//! multisets under any batch size, DOP, or memory budget), and the
+//! Batch-size invariance and robustness: every query must return the
+//! rows a plain-Rust reference computes from the same data under any
+//! batch size (1 is row-at-a-time), DOP or memory budget, and the
 //! governor contracts — KILL, timeouts, spill cleanup, pin accounting —
-//! must hold mid-batch exactly as they do mid-row.
+//! must hold mid-batch.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -46,14 +46,6 @@ impl TableFunction for Numbers {
     }
 }
 
-/// Render a result as a sorted multiset of row strings, so two
-/// executions compare regardless of row order.
-fn sorted_rows(r: &seqdb::engine::QueryResult) -> Vec<String> {
-    let mut out: Vec<String> = r.rows.iter().map(|row| format!("{row:?}")).collect();
-    out.sort();
-    out
-}
-
 fn counter(db: &Arc<Database>, name: &str) -> i64 {
     let r = db
         .query_sql(&format!(
@@ -64,18 +56,181 @@ fn counter(db: &Arc<Database>, name: &str) -> i64 {
 }
 
 // ----------------------------------------------------------------------
-// Property: batch execution ≡ row execution over random plans
+// Property: every batch size returns the reference result
 // ----------------------------------------------------------------------
+
+/// `Some(v)` for an INT value, `None` for NULL.
+fn int(v: &Value) -> Option<i64> {
+    match v {
+        Value::Int(i) => Some(*i),
+        _ => None,
+    }
+}
+
+fn int_or_null(v: Option<i64>) -> Value {
+    v.map_or(Value::Null, Value::Int)
+}
+
+/// One query of the invariance sweep with its expected rows, computed
+/// in plain Rust from the table contents.
+struct Case {
+    sql: String,
+    /// `SET JOIN_STRATEGY` the query runs under (0 = cost-based).
+    join_strategy: u8,
+    /// Compare row order too (full ORDER BY), not just the multiset.
+    ordered: bool,
+    expect: Vec<Row>,
+}
+
+impl Case {
+    fn new(sql: impl Into<String>, expect: Vec<Row>) -> Case {
+        Case {
+            sql: sql.into(),
+            join_strategy: 0,
+            ordered: false,
+            expect,
+        }
+    }
+}
+
+fn rendered(rows: &[Row], ordered: bool) -> Vec<String> {
+    let mut out: Vec<String> = rows.iter().map(|row| format!("{row:?}")).collect();
+    if !ordered {
+        out.sort();
+    }
+    out
+}
+
+/// The sweep's queries over `t(id, grp, v)` and `s(g, name)`, where `s`
+/// holds g = 0..6, and the reference answer of each.
+fn invariance_cases(t: &[Row], k: i64) -> Vec<Case> {
+    let rows: Vec<(i64, Option<i64>, Option<i64>)> = t
+        .iter()
+        .map(|r| (int(&r[0]).unwrap(), int(&r[1]), int(&r[2])))
+        .collect();
+    let lane = |g: i64| (0..6).contains(&g);
+    let row = |vals: Vec<Value>| Row::new(vals);
+    let mut cases = Vec::new();
+
+    // Scan kernel in both operand orders (NULL never passes), then
+    // filter→project.
+    cases.push(Case::new(
+        format!("SELECT id, v FROM t WHERE v < {k}"),
+        rows.iter()
+            .filter_map(|&(id, _, v)| v.filter(|v| *v < k).map(|v| (id, v)))
+            .map(|(id, v)| row(vec![Value::Int(id), Value::Int(v)]))
+            .collect(),
+    ));
+    cases.push(Case::new(
+        format!("SELECT id FROM t WHERE {k} >= v"),
+        rows.iter()
+            .filter(|&&(_, _, v)| v.is_some_and(|v| k >= v))
+            .map(|&(id, _, _)| row(vec![Value::Int(id)]))
+            .collect(),
+    ));
+    cases.push(Case::new(
+        format!("SELECT id + v, grp FROM t WHERE v <> {k}"),
+        rows.iter()
+            .filter_map(|&(id, g, v)| v.filter(|v| *v != k).map(|v| (id + v, g)))
+            .map(|(sum, g)| row(vec![Value::Int(sum), int_or_null(g)]))
+            .collect(),
+    ));
+
+    // Grouped and global aggregates: NULL keys form one group, SUM skips
+    // NULLs and is NULL over no values.
+    let mut groups: std::collections::BTreeMap<Option<i64>, (i64, Option<i64>)> =
+        Default::default();
+    for &(_, g, v) in &rows {
+        let e = groups.entry(g).or_insert((0, None));
+        e.0 += 1;
+        if let Some(v) = v {
+            e.1 = Some(e.1.unwrap_or(0) + v);
+        }
+    }
+    cases.push(Case::new(
+        "SELECT grp, COUNT(*), SUM(v) FROM t GROUP BY grp",
+        groups
+            .iter()
+            .map(|(g, (n, sum))| row(vec![int_or_null(*g), Value::Int(*n), int_or_null(*sum)]))
+            .collect(),
+    ));
+    let above: Vec<i64> = rows.iter().filter_map(|r| r.2).filter(|v| *v > k).collect();
+    cases.push(Case::new(
+        format!("SELECT COUNT(*), SUM(v) FROM t WHERE v > {k}"),
+        vec![row(vec![
+            Value::Int(above.len() as i64),
+            int_or_null((!above.is_empty()).then(|| above.iter().sum())),
+        ])],
+    ));
+
+    // Hash-join probe (cost-based) and a forced merge join.
+    let matched = rows.iter().filter(|r| r.1.is_some_and(lane)).count() as i64;
+    cases.push(Case::new(
+        "SELECT COUNT(*) FROM t JOIN s ON (t.grp = s.g)",
+        vec![row(vec![Value::Int(matched)])],
+    ));
+    // The merge join's right side is `t`, so it buffers groups of
+    // duplicate keys.
+    cases.push(Case {
+        join_strategy: 2,
+        ..Case::new(
+            "SELECT s.name, t.id FROM s JOIN t ON (s.g = t.grp)",
+            rows.iter()
+                .filter_map(|&(id, g, _)| g.filter(|g| lane(*g)).map(|g| (id, g)))
+                .map(|(id, g)| row(vec![Value::text(format!("lane{g}")), Value::Int(id)]))
+                .collect(),
+        )
+    });
+
+    // Sorts: NULL orders first, ties broken by the unique id.
+    let mut by_v = rows.clone();
+    by_v.sort_by_key(|&(id, _, v)| (v, id));
+    cases.push(Case::new(
+        "SELECT TOP 10 id FROM t ORDER BY v, id",
+        by_v.iter()
+            .take(10)
+            .map(|&(id, _, _)| row(vec![Value::Int(id)]))
+            .collect(),
+    ));
+    cases.push(Case {
+        ordered: true,
+        ..Case::new(
+            "SELECT id, v FROM t ORDER BY v, id",
+            by_v.iter()
+                .map(|&(id, _, v)| row(vec![Value::Int(id), int_or_null(v)]))
+                .collect(),
+        )
+    });
+
+    // ROW_NUMBER over the sorted ids (ids are 0..n, so the rank is id+1).
+    cases.push(Case::new(
+        "SELECT id, ROW_NUMBER() OVER (ORDER BY id) FROM t",
+        rows.iter()
+            .map(|&(id, _, _)| row(vec![Value::Int(id), Value::Int(id + 1)]))
+            .collect(),
+    ));
+
+    // CROSS APPLY: NUMBERS(id % 3) yields 0..id % 3 per outer row.
+    cases.push(Case::new(
+        "SELECT id, n FROM t CROSS APPLY NUMBERS(id % 3)",
+        rows.iter()
+            .flat_map(|&(id, _, _)| (0..id % 3).map(move |n| (id, n)))
+            .map(|(id, n)| row(vec![Value::Int(id), Value::Int(n)]))
+            .collect(),
+    ));
+    cases
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
     #[test]
-    fn batch_and_row_modes_agree_on_random_plans(
+    fn batch_sizes_agree_with_reference_on_random_plans(
         rows in proptest::collection::vec((0i64..9, -50i64..50), 0..400),
         k in -60i64..60,
         budget_kb in 2i64..8,
     ) {
         let db = Database::in_memory();
+        db.catalog().register_table_fn(Arc::new(Numbers));
         db.execute_sql("CREATE TABLE t (id INT NOT NULL, grp INT, v INT)")
             .unwrap();
         db.execute_sql("CREATE TABLE s (g INT, name VARCHAR(8))").unwrap();
@@ -99,38 +254,22 @@ proptest! {
             .unwrap();
         }
 
-        // Shapes chosen to cover every native batch path: the scan
-        // kernel in both operand orders, filter→project, aggregation
-        // with and without GROUP BY, the hash-join probe, and TopN.
-        let queries = [
-            format!("SELECT id, v FROM t WHERE v < {k}"),
-            format!("SELECT id FROM t WHERE {k} >= v"),
-            format!("SELECT id + v, grp FROM t WHERE v <> {k}"),
-            "SELECT grp, COUNT(*), SUM(v) FROM t GROUP BY grp".to_string(),
-            format!("SELECT COUNT(*), SUM(v) FROM t WHERE v > {k}"),
-            "SELECT COUNT(*) FROM t JOIN s ON (t.grp = s.g)".to_string(),
-            "SELECT TOP 10 id FROM t ORDER BY v, id".to_string(),
-        ];
-
-        for sql in &queries {
-            // Baseline: forced row-at-a-time, serial, unlimited memory.
-            db.execute_sql("SET BATCH_SIZE = 0").unwrap();
-            db.execute_sql("SET MAX_DOP = 1").unwrap();
-            db.execute_sql("SET QUERY_MEMORY_LIMIT_KB = 0").unwrap();
-            let expect = sorted_rows(&db.query_sql(sql).unwrap());
-
+        for case in invariance_cases(&t_rows, k) {
+            let expect = rendered(&case.expect, case.ordered);
+            db.execute_sql(&format!("SET JOIN_STRATEGY = {}", case.join_strategy))
+                .unwrap();
             for batch in [1usize, 7, 1024] {
                 for (dop, budget) in [(1usize, 0i64), (4, budget_kb)] {
                     db.execute_sql(&format!("SET BATCH_SIZE = {batch}")).unwrap();
                     db.execute_sql(&format!("SET MAX_DOP = {dop}")).unwrap();
                     db.execute_sql(&format!("SET QUERY_MEMORY_LIMIT_KB = {budget}"))
                         .unwrap();
-                    match db.query_sql(sql) {
+                    match db.query_sql(&case.sql) {
                         Ok(r) => prop_assert_eq!(
-                            sorted_rows(&r),
+                            rendered(&r.rows, case.ordered),
                             expect.clone(),
                             "batch={} dop={} budget={}kb sql={}",
-                            batch, dop, budget, sql
+                            batch, dop, budget, &case.sql
                         ),
                         // A tiny budget may legitimately refuse a join
                         // whose one hash bucket exceeds it — typed, not
@@ -144,6 +283,39 @@ proptest! {
         }
         prop_assert_eq!(db.pool().pinned_frames(), 0, "leaked buffer pins");
     }
+}
+
+#[test]
+fn batch_size_out_of_range_fails_typed_at_both_scopes() {
+    let db = Database::in_memory();
+    let session = db.create_session();
+    for rows in [0, 1u64 << 32] {
+        let set = format!("SET BATCH_SIZE = {rows}");
+        for err in [
+            db.execute_sql(&set).unwrap_err(),
+            session.execute_sql(&set).unwrap_err(),
+        ] {
+            match err {
+                DbError::Unsupported(msg) => {
+                    assert!(msg.contains("valid range is 1 to 4294967295"), "{msg}")
+                }
+                other => panic!("expected Unsupported, got {other:?}"),
+            }
+        }
+    }
+    // The refused value left both scopes at their previous setting.
+    assert_eq!(
+        db.config().batch_size,
+        ExecContext::DEFAULT_BATCH_SIZE,
+        "database scope unchanged"
+    );
+    assert_eq!(
+        session.effective_config().batch_size,
+        ExecContext::DEFAULT_BATCH_SIZE,
+        "session scope unchanged"
+    );
+    session.execute_sql("SET BATCH_SIZE = 1").unwrap();
+    assert_eq!(session.effective_config().batch_size, 1);
 }
 
 // ----------------------------------------------------------------------
@@ -271,20 +443,4 @@ fn explain_analyze_reports_batches_in_batch_mode() {
         .join("\n");
     assert!(text.contains("batches="), "batch stats missing:\n{text}");
     assert!(text.contains("avg_batch="), "batch stats missing:\n{text}");
-
-    // Row mode reports no batch shape — the stat is mode-specific.
-    db.execute_sql("SET BATCH_SIZE = 0").unwrap();
-    let r = db
-        .query_sql("EXPLAIN ANALYZE SELECT COUNT(*) FROM t WHERE v < 7")
-        .unwrap();
-    let text = r
-        .rows
-        .iter()
-        .map(|row| row[0].as_text().unwrap().to_string())
-        .collect::<Vec<_>>()
-        .join("\n");
-    assert!(
-        !text.contains("batches="),
-        "row mode must not batch:\n{text}"
-    );
 }

@@ -10,6 +10,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
+use seqdb::engine::trace::WAIT_TRACE_FLOOR_NANOS;
 use seqdb::engine::{
     fingerprint, Database, ExecContext, LatencyHistogram, TableFunction, TvfCursor,
 };
@@ -141,6 +142,14 @@ fn ring_buffer_and_query_store_capture_spill_admission_and_kill() {
     while db.admission().queue_depth() == 0 {
         assert!(Instant::now() < deadline, "statement never queued");
         std::thread::sleep(Duration::from_millis(5));
+    }
+    // Hold the pool past the WAIT trace floor: the queued statement began
+    // waiting before it was observed, so its admission wait then exceeds
+    // the floor by construction and is emitted as a WAIT event.
+    let observed = Instant::now();
+    let floor = Duration::from_nanos(WAIT_TRACE_FLOOR_NANOS);
+    while observed.elapsed() < floor {
+        std::thread::sleep(floor);
     }
     drop(hold);
     queued.join().unwrap().expect("queued statement must run");
