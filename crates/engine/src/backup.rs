@@ -53,7 +53,7 @@ use parking_lot::Mutex;
 
 use seqdb_storage::counters::{storage_counters, waits, WaitClass};
 use seqdb_storage::crc32c::crc32c;
-use seqdb_storage::sha256::{sha256, to_hex, Sha256};
+use seqdb_storage::sha256::{hash_file, sha256, to_hex};
 use seqdb_storage::{FaultClock, Page, PageId, WriteAheadLog, PAGE_SIZE};
 use seqdb_types::{Column, DataType, DbError, Result, Row, Schema, Value};
 
@@ -431,21 +431,6 @@ impl FaultedWriter<'_> {
     }
 }
 
-/// SHA-256 of a file, streamed.
-fn hash_file(path: &Path) -> Result<String> {
-    let mut f = File::open(path)?;
-    let mut hasher = Sha256::new();
-    let mut buf = vec![0u8; 64 * 1024];
-    loop {
-        let n = f.read(&mut buf)?;
-        if n == 0 {
-            break;
-        }
-        hasher.update(&buf[..n]);
-    }
-    Ok(to_hex(&hasher.finalize()))
-}
-
 // ----------------------------------------------------------------------
 // BACKUP DATABASE
 // ----------------------------------------------------------------------
@@ -644,7 +629,7 @@ impl Database {
                 state.add_bytes(wal_images.len() as u64 * PAGE_SIZE as u64);
             }
         }
-        let wal_sha = hash_file(&dest.join("seqdb.wal"))?;
+        let wal_sha = to_hex(&hash_file(&dest.join("seqdb.wal"))?);
 
         // Effective per-page CRC: the WAL image wins over the fuzzy copy
         // (that is what restore will materialize). Pages whose effective
@@ -740,12 +725,17 @@ fn restore_inner(backup: &Path, target: Option<&Path>) -> Result<RestoreReport> 
             });
         }
         let manifest = Manifest::read(&dir)?;
-        if hash_file(&dir.join("seqdb.wal")).unwrap_or_default() != manifest.wal_sha {
+        let sha_of = |name: &str| {
+            hash_file(&dir.join(name))
+                .map(|d| to_hex(&d))
+                .unwrap_or_default()
+        };
+        if sha_of("seqdb.wal") != manifest.wal_sha {
             return Err(DbError::BackupCorrupt {
                 object: format!("seqdb.wal in {}", dir.display()),
             });
         }
-        if hash_file(&dir.join("catalog.seqdb")).unwrap_or_default() != manifest.catalog_sha {
+        if sha_of("catalog.seqdb") != manifest.catalog_sha {
             return Err(DbError::BackupCorrupt {
                 object: format!("catalog.seqdb in {}", dir.display()),
             });

@@ -9,7 +9,7 @@ use parking_lot::{Mutex, RwLock};
 
 use seqdb_storage::rowfmt::Compression;
 use seqdb_storage::{
-    BufferPool, FilePager, FileStreamStore, MemPager, Quarantine, TempSpace, WriteAheadLog,
+    durable, BufferPool, FilePager, FileStreamStore, MemPager, Quarantine, TempSpace, WriteAheadLog,
 };
 use seqdb_types::{Result, Row, Schema};
 
@@ -26,7 +26,6 @@ use crate::plan::{Plan, QueryResult};
 use crate::querystore::QueryStore;
 use crate::scrub::ScrubState;
 use crate::session::{AdmissionController, DmExecRequestsFn, Session, StatementRegistry};
-use crate::stats::QueryStatsHistory;
 use crate::trace::DmOsRingBufferFn;
 
 /// Join algorithm selection (`SET JOIN_STRATEGY`): cost-based by default,
@@ -127,7 +126,6 @@ pub struct Database {
     statements: Arc<StatementRegistry>,
     admission: Arc<AdmissionController>,
     connections: Arc<ConnectionRegistry>,
-    query_stats: Arc<QueryStatsHistory>,
     query_store: Arc<QueryStore>,
     scrub: Arc<ScrubState>,
     backup: Arc<BackupState>,
@@ -195,9 +193,9 @@ impl Database {
                 );
             }
         }
-        // Reload the persistent query store written by the last
-        // checkpoint, so DM_DB_QUERY_STORE()/DM_EXEC_QUERY_STATS() answer
-        // across restarts. A corrupt store must not brick the reopen —
+        // Reload the query store written by the last checkpoint, so
+        // DM_DB_QUERY_STORE() and DM_EXEC_QUERY_STATS() answer across
+        // restarts. A corrupt store must not brick the reopen —
         // history is advisory; the database comes up with an empty store.
         let qstore = dir.join("querystore.seqdb");
         if qstore.exists() {
@@ -237,10 +235,9 @@ impl Database {
         // The DMV surface: DM_EXEC_REQUESTS() lists running statements
         // straight out of the registry (so KILL targets are discoverable
         // from SQL), DM_OS_PERFORMANCE_COUNTERS()/DM_OS_WAIT_STATS()
-        // render the counter registries, and DM_EXEC_QUERY_STATS() the
-        // bounded statement history.
+        // render the counter registries, and DM_EXEC_QUERY_STATS() and
+        // DM_DB_QUERY_STORE() the query store, the one statement history.
         let statements = StatementRegistry::new();
-        let query_stats = QueryStatsHistory::new(QueryStatsHistory::DEFAULT_CAPACITY);
         let query_store = QueryStore::new(QueryStore::DEFAULT_CAPACITY);
         // Touching the tracer here also installs the storage→trace hook,
         // so spill/wait events flow before any SET TRACE_EVENTS arrives.
@@ -256,10 +253,7 @@ impl Database {
             connections.clone(),
         )));
         catalog.register_table_fn(Arc::new(DmOsWaitStatsFn));
-        catalog.register_table_fn(Arc::new(DmExecQueryStatsFn::new(
-            query_stats.clone(),
-            query_store.clone(),
-        )));
+        catalog.register_table_fn(Arc::new(DmExecQueryStatsFn::new(query_store.clone())));
         catalog.register_table_fn(Arc::new(DmDbQueryStoreFn::new(query_store.clone())));
         catalog.register_table_fn(Arc::new(DmOsRingBufferFn));
         catalog.register_table_fn(Arc::new(DmExecConnectionsFn::new(connections.clone())));
@@ -275,7 +269,6 @@ impl Database {
             statements,
             admission,
             connections,
-            query_stats,
             query_store,
             scrub,
             backup,
@@ -312,13 +305,9 @@ impl Database {
         &self.connections
     }
 
-    /// The bounded statement history behind `DM_EXEC_QUERY_STATS()`.
-    pub fn query_stats(&self) -> &Arc<QueryStatsHistory> {
-        &self.query_stats
-    }
-
     /// The persistent per-fingerprint query store behind
-    /// `DM_DB_QUERY_STORE()` (written at `CHECKPOINT`, reloaded at open).
+    /// `DM_EXEC_QUERY_STATS()` and `DM_DB_QUERY_STORE()` (written at
+    /// `CHECKPOINT`, reloaded at open).
     pub fn query_store(&self) -> &Arc<QueryStore> {
         &self.query_store
     }
@@ -520,41 +509,31 @@ impl Database {
         self.persist_query_store()
     }
 
-    /// Write the query store to `<root>/querystore.seqdb` via tmp +
-    /// fsync + rename (fsync matters here: unlike the catalog, the store
-    /// has no WAL backing it — the rename must only land a fully-written
-    /// file). No-op for in-memory databases.
+    /// Write the query store to `<root>/querystore.seqdb` with
+    /// [`durable::replace_file`]. No-op for in-memory databases.
     pub(crate) fn persist_query_store(&self) -> Result<()> {
-        use std::io::Write;
-        let Some(root) = &self.root else {
-            return Ok(());
-        };
-        let path = root.join("querystore.seqdb");
-        let tmp = root.join("querystore.seqdb.tmp");
-        let data = self.query_store.serialize();
-        let mut f = std::fs::File::create(&tmp).map_err(seqdb_types::DbError::io_write)?;
-        f.write_all(data.as_bytes())
-            .map_err(seqdb_types::DbError::io_write)?;
-        f.sync_all().map_err(seqdb_types::DbError::io_write)?;
-        drop(f);
-        std::fs::rename(&tmp, &path)?;
-        Ok(())
+        match &self.root {
+            Some(root) => durable::replace_file(
+                &root.join("querystore.seqdb"),
+                self.query_store.serialize().as_bytes(),
+            ),
+            None => Ok(()),
+        }
     }
 
-    /// Write the catalog snapshot to `<root>/catalog.seqdb` via tmp +
-    /// rename. No-op for in-memory databases. `pub(crate)` because the
-    /// backup path runs it directly while already holding the
-    /// checkpoint lock.
+    /// Write the catalog snapshot to `<root>/catalog.seqdb` with
+    /// [`durable::replace_file`]: the checkpoint has already truncated
+    /// the WAL, so a torn snapshot would lose the table definitions.
+    /// No-op for in-memory databases. `pub(crate)` because the backup
+    /// path runs it directly while already holding the checkpoint lock.
     pub(crate) fn persist_catalog(&self) -> Result<()> {
-        let Some(root) = &self.root else {
-            return Ok(());
-        };
-        let path = root.join("catalog.seqdb");
-        let tmp = root.join("catalog.seqdb.tmp");
-        std::fs::write(&tmp, self.catalog.serialize_tables())
-            .map_err(seqdb_types::DbError::io_write)?;
-        std::fs::rename(&tmp, &path)?;
-        Ok(())
+        match &self.root {
+            Some(root) => durable::replace_file(
+                &root.join("catalog.seqdb"),
+                self.catalog.serialize_tables().as_bytes(),
+            ),
+            None => Ok(()),
+        }
     }
 }
 

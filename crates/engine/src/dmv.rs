@@ -16,9 +16,10 @@
 //!   leak checks can be written in SQL.
 //! * [`DmOsWaitStatsFn`] — per wait class, how often the engine blocked
 //!   and for how long in total.
-//! * [`DmExecQueryStatsFn`] — the bounded per-database statement history
-//!   ([`QueryStatsHistory`]), recorded by the session guard on statement
-//!   completion (including cancelled/killed statements).
+//! * [`DmExecQueryStatsFn`] — per statement fingerprint, executions,
+//!   rows, time, spill and peak memory, projected from the
+//!   [`QueryStore`] that the session guard records every finished
+//!   statement into (including cancelled/killed statements).
 
 use std::sync::Arc;
 
@@ -31,7 +32,7 @@ use crate::exec::ExecContext;
 use crate::querystore::QueryStore;
 use crate::scrub::ScrubState;
 use crate::session::AdmissionController;
-use crate::stats::{engine_counters, QueryStatsHistory};
+use crate::stats::engine_counters;
 use crate::trace::process_clock;
 use crate::udx::{TableFunction, TvfCursor};
 
@@ -211,21 +212,18 @@ impl TableFunction for DmOsWaitStatsFn {
     }
 }
 
-/// `SELECT * FROM DM_EXEC_QUERY_STATS()` — the bounded statement
-/// history, least-recently-executed first, followed by the persisted
-/// query-store view. The `as_of` column tells the two apart: `memory`
-/// rows are this process's raw-text history, `persisted` rows are the
-/// normalized per-fingerprint entries of the last written
-/// `querystore.seqdb` — present even right after a restart, which is
-/// what makes this DMV restart-surviving.
+/// `SELECT * FROM DM_EXEC_QUERY_STATS()` — one row per statement
+/// fingerprint of the live query store, keyed by the normalized text.
+/// Entries reloaded from `querystore.seqdb` are included, so the view
+/// survives restarts; `DM_DB_QUERY_STORE()` shows how many executions
+/// came from disk.
 pub struct DmExecQueryStatsFn {
-    history: Arc<QueryStatsHistory>,
     store: Arc<QueryStore>,
 }
 
 impl DmExecQueryStatsFn {
-    pub fn new(history: Arc<QueryStatsHistory>, store: Arc<QueryStore>) -> DmExecQueryStatsFn {
-        DmExecQueryStatsFn { history, store }
+    pub fn new(store: Arc<QueryStore>) -> DmExecQueryStatsFn {
+        DmExecQueryStatsFn { store }
     }
 }
 
@@ -238,52 +236,30 @@ impl TableFunction for DmExecQueryStatsFn {
             Column::new("sql_text", DataType::Text).not_null(),
             Column::new("executions", DataType::Int).not_null(),
             Column::new("total_rows", DataType::Int).not_null(),
-            Column::new("last_rows", DataType::Int).not_null(),
             Column::new("total_elapsed_ms", DataType::Int).not_null(),
-            Column::new("last_elapsed_ms", DataType::Int).not_null(),
             Column::new("total_spill_files", DataType::Int).not_null(),
             Column::new("total_spill_bytes", DataType::Int).not_null(),
             Column::new("peak_mem_bytes", DataType::Int).not_null(),
-            Column::new("as_of", DataType::Text).not_null(),
         ]))
     }
     fn open(&self, args: &[Value], _ctx: &ExecContext) -> Result<Box<dyn TvfCursor>> {
         no_args(args, self.name())?;
-        let mut rows: Vec<Row> = self
-            .history
+        let rows = self
+            .store
             .snapshot()
             .into_iter()
-            .map(|r| {
+            .map(|e| {
                 Row::new(vec![
-                    Value::text(r.sql),
-                    Value::Int(r.executions as i64),
-                    Value::Int(r.total_rows as i64),
-                    Value::Int(r.last_rows as i64),
-                    Value::Int(r.total_elapsed.as_millis() as i64),
-                    Value::Int(r.last_elapsed.as_millis() as i64),
-                    Value::Int(r.total_spill_files as i64),
-                    Value::Int(r.total_spill_bytes as i64),
-                    Value::Int(r.peak_mem_bytes as i64),
-                    Value::text("memory"),
+                    Value::text(e.text),
+                    Value::Int(e.executions as i64),
+                    Value::Int(e.total_rows as i64),
+                    Value::Int((e.total_elapsed_micros / 1000) as i64),
+                    Value::Int(e.spill_files as i64),
+                    Value::Int(e.spill_bytes as i64),
+                    Value::Int(e.peak_mem_bytes as i64),
                 ])
             })
             .collect();
-        // The persisted view aggregates across executions, so the
-        // last_* columns have no per-statement meaning there: 0.
-        rows.extend(self.store.persisted_snapshot().into_iter().map(|e| {
-            Row::new(vec![
-                Value::text(e.text),
-                Value::Int(e.executions as i64),
-                Value::Int(e.total_rows as i64),
-                Value::Int(0),
-                Value::Int((e.total_elapsed_micros / 1000) as i64),
-                Value::Int(0),
-                Value::Int(e.spill_files as i64),
-                Value::Int(e.spill_bytes as i64),
-                Value::Int(e.peak_mem_bytes as i64),
-                Value::text("persisted"),
-            ])
-        }));
         Ok(RowsCursor::boxed(rows))
     }
 }
@@ -472,8 +448,7 @@ impl TableFunction for DmDbBackupStatusFn {
 mod tests {
     use super::*;
     use crate::exec::testutil::test_context;
-    use crate::stats::StatementOutcome;
-    use std::time::Duration;
+    use crate::querystore::{Disposition, StoreOutcome};
 
     fn drain(f: &dyn TableFunction) -> Vec<Row> {
         let ctx = test_context();
@@ -514,54 +489,57 @@ mod tests {
         assert_eq!(rows.len(), seqdb_storage::counters::WAIT_CLASSES.len());
     }
 
-    #[test]
-    fn query_stats_render_history() {
-        let history = QueryStatsHistory::new(8);
-        history.record(
-            "SELECT 1",
-            &StatementOutcome {
-                rows: 3,
-                elapsed: Duration::from_millis(4),
-                spill_files: 0,
-                spill_bytes: 0,
-                peak_mem_bytes: 1024,
-            },
-        );
-        let store = QueryStore::new(8);
-        let rows = drain(&DmExecQueryStatsFn::new(history, store));
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0][1], Value::Int(1), "executions");
-        assert_eq!(rows[0][2], Value::Int(3), "total_rows");
-        assert_eq!(rows[0][9], Value::text("memory"), "as_of");
+    fn completed(rows: u64, elapsed_micros: u64) -> StoreOutcome {
+        StoreOutcome {
+            rows,
+            elapsed_micros,
+            spill_files: 0,
+            spill_bytes: 0,
+            wait_admission_micros: 0,
+            wait_spill_micros: 0,
+            peak_mem_bytes: 1024,
+            disposition: Disposition::Completed,
+        }
     }
 
     #[test]
-    fn query_stats_append_persisted_store_rows() {
-        use crate::querystore::{Disposition, StoreOutcome};
-        let history = QueryStatsHistory::new(8);
+    fn query_stats_render_history() {
         let store = QueryStore::new(8);
-        store.record(
-            "SELECT v FROM t WHERE id = 3",
-            &StoreOutcome {
-                rows: 2,
-                elapsed_micros: 500,
-                spill_files: 0,
-                spill_bytes: 0,
-                wait_admission_micros: 0,
-                wait_spill_micros: 0,
-                peak_mem_bytes: 0,
-                disposition: Disposition::Completed,
-            },
-        );
-        // Nothing persisted yet: only live history (empty) is rendered.
-        assert!(drain(&DmExecQueryStatsFn::new(history.clone(), store.clone())).is_empty());
-        let _ = store.serialize();
-        let rows = drain(&DmExecQueryStatsFn::new(history, store.clone()));
+        store.record("SELECT 1", &completed(3, 4000));
+        let rows = drain(&DmExecQueryStatsFn::new(store));
         assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0][9], Value::text("persisted"));
-        assert_eq!(rows[0][0], Value::text("SELECT V FROM T WHERE ID=?"));
+        assert_eq!(rows[0][0], Value::text("SELECT ?"), "normalized text");
+        assert_eq!(rows[0][1], Value::Int(1), "executions");
+        assert_eq!(rows[0][2], Value::Int(3), "total_rows");
+        assert_eq!(rows[0][3], Value::Int(4), "total_elapsed_ms");
+        assert_eq!(rows[0][6], Value::Int(1024), "peak_mem_bytes");
+    }
 
-        let qs = drain(&DmDbQueryStoreFn::new(store));
+    #[test]
+    fn query_stats_fold_literals_into_one_fingerprint_row() {
+        let store = QueryStore::new(8);
+        store.record("SELECT v FROM t WHERE id = 3", &completed(1, 10));
+        store.record("SELECT v FROM t WHERE id = 9", &completed(1, 10));
+        let rows = drain(&DmExecQueryStatsFn::new(store));
+        assert_eq!(rows.len(), 1, "one row per fingerprint");
+        assert_eq!(rows[0][0], Value::text("SELECT V FROM T WHERE ID=?"));
+        assert_eq!(rows[0][1], Value::Int(2), "executions");
+    }
+
+    #[test]
+    fn query_stats_include_reloaded_store_rows() {
+        let store = QueryStore::new(8);
+        store.record("SELECT v FROM t WHERE id = 3", &completed(2, 500));
+        // A store reloaded after a restart renders what it loaded.
+        let reloaded = QueryStore::new(8);
+        reloaded.load(&store.serialize()).unwrap();
+        let rows = drain(&DmExecQueryStatsFn::new(reloaded.clone()));
+        assert_eq!(rows.len(), 1);
+        assert_eq!(rows[0][0], Value::text("SELECT V FROM T WHERE ID=?"));
+        assert_eq!(rows[0][1], Value::Int(1), "executions");
+        assert_eq!(rows[0][2], Value::Int(2), "total_rows");
+
+        let qs = drain(&DmDbQueryStoreFn::new(reloaded));
         assert_eq!(qs.len(), 1);
         assert_eq!(qs[0][2], Value::Int(1), "executions");
         assert_eq!(qs[0][3], Value::Int(0), "killed");
@@ -569,6 +547,7 @@ mod tests {
             matches!(qs[0][7], Value::Int(p50) if p50 >= 500),
             "p50 bound"
         );
+        assert_eq!(qs[0][14], Value::Int(1), "persisted_executions");
     }
 
     #[test]

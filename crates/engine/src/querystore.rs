@@ -1,11 +1,10 @@
-//! Persistent query store: per-fingerprint execution history that
-//! survives restarts.
+//! Persistent query store: the engine's one statement history,
+//! aggregated per fingerprint and surviving restarts.
 //!
-//! `DM_EXEC_QUERY_STATS()` is a bounded in-memory ring keyed by raw
-//! statement text — it dies with the process, and two executions of the
-//! same pipeline with different literals land in different rows. The
-//! query store fixes both, following SQL Server 2008's Query Store /
-//! `query_hash` design:
+//! Every finished statement is recorded once, by the session guard's
+//! drop, and both `DM_EXEC_QUERY_STATS()` and `DM_DB_QUERY_STORE()` are
+//! projections of the live entries. The design follows SQL Server's
+//! Query Store / `query_hash`:
 //!
 //! * [`fingerprint`] normalizes statement text (literals → `?`, case and
 //!   whitespace folded) and hashes it (FNV-1a 64), so
@@ -15,8 +14,8 @@
 //!   dispositions (completed / killed / timeout), rows, a log₂ latency
 //!   histogram with p50/p99, spill files/bytes, a wait breakdown
 //!   (admission vs spill), and the governed-memory peak;
-//! * the store is serialized at `CHECKPOINT` via tmp + fsync + rename to
-//!   `querystore.seqdb` next to the catalog, and reloaded by
+//! * the store is serialized at `CHECKPOINT` to `querystore.seqdb` next
+//!   to the catalog (tmp + fsync + rename + directory fsync), reloaded by
 //!   `Database::open` — `DM_DB_QUERY_STORE()` therefore answers "what did
 //!   this pipeline spend its time on, *yesterday*?" across restarts.
 
@@ -326,9 +325,6 @@ const MAGIC: &str = "seqdb-querystore v1";
 pub struct QueryStore {
     capacity: usize,
     entries: Mutex<Vec<QueryStoreEntry>>,
-    /// Frozen image of what is on disk (loaded at open, refreshed at
-    /// checkpoint) — the `AS OF 'persisted'` view.
-    persisted: Mutex<Vec<QueryStoreEntry>>,
 }
 
 impl QueryStore {
@@ -339,7 +335,6 @@ impl QueryStore {
         Arc::new(QueryStore {
             capacity: capacity.max(1),
             entries: Mutex::new(Vec::new()),
-            persisted: Mutex::new(Vec::new()),
         })
     }
 
@@ -367,25 +362,19 @@ impl QueryStore {
         }
     }
 
-    /// Every live entry (in-memory view), insertion order.
+    /// Every live entry, insertion order.
     pub fn snapshot(&self) -> Vec<QueryStoreEntry> {
         self.entries.lock().clone()
     }
 
-    /// The frozen on-disk view (what the last checkpoint/open saw).
-    pub fn persisted_snapshot(&self) -> Vec<QueryStoreEntry> {
-        self.persisted.lock().clone()
-    }
-
-    /// Serialize the live store (header + one tab-separated line per
-    /// fingerprint) and refresh the frozen persisted view to match.
-    /// The caller writes the returned bytes via tmp + fsync + rename.
+    /// Serialize the live store: a header plus one tab-separated line
+    /// per fingerprint.
     pub fn serialize(&self) -> String {
-        let entries = self.entries.lock().clone();
+        let entries = self.entries.lock();
         let mut out = String::with_capacity(64 * entries.len() + MAGIC.len() + 1);
         out.push_str(MAGIC);
         out.push('\n');
-        for e in &entries {
+        for e in entries.iter() {
             out.push_str(&format!(
                 "{:016x}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\n",
                 e.fingerprint,
@@ -403,12 +392,11 @@ impl QueryStore {
                 escape(&e.text),
             ));
         }
-        *self.persisted.lock() = entries;
         out
     }
 
-    /// Load a serialized store, replacing the live and persisted views.
-    /// Every loaded execution counts as persisted.
+    /// Load a serialized store, replacing the live entries. Every loaded
+    /// execution counts as persisted.
     pub fn load(&self, data: &str) -> Result<()> {
         let mut lines = data.lines();
         match lines.next() {
@@ -443,7 +431,7 @@ impl QueryStore {
                 DbError::Corruption(format!("query store: bad fingerprint '{}'", fields[0]))
             })?;
             let executions = num(1)?;
-            let mut e = QueryStoreEntry {
+            let e = QueryStoreEntry {
                 fingerprint,
                 text: unescape(fields[12]),
                 executions,
@@ -465,10 +453,8 @@ impl QueryStore {
                     e.fingerprint
                 )));
             }
-            e.persisted_executions = e.executions;
             entries.push(e);
         }
-        *self.persisted.lock() = entries.clone();
         *self.entries.lock() = entries;
         Ok(())
     }
@@ -610,11 +596,7 @@ mod tests {
         s.record("SELECT 1", &outcome(456, Disposition::Killed));
         let data = s.serialize();
         assert!(data.starts_with(MAGIC));
-        assert_eq!(
-            s.persisted_snapshot().len(),
-            2,
-            "serialize freezes the view"
-        );
+        assert_eq!(data.lines().count(), 3, "header + one line per fingerprint");
 
         let t = QueryStore::new(16);
         t.load(&data).unwrap();

@@ -35,7 +35,7 @@ use crate::database::{Database, DbConfig};
 use crate::exec::ExecContext;
 use crate::governor::QueryGovernor;
 use crate::querystore::{QueryStore, StoreOutcome};
-use crate::stats::{engine_counters, QueryStatsHistory, StatementOutcome};
+use crate::stats::engine_counters;
 use crate::trace::{self, TraceClass};
 use crate::udx::{TableFunction, TvfCursor};
 
@@ -161,7 +161,6 @@ impl Session {
             registry,
             statement_id,
             slot: None,
-            history: self.db.query_stats().clone(),
             store: self.db.query_store().clone(),
             sql: sql.to_string(),
             started: Instant::now(),
@@ -233,8 +232,8 @@ impl Session {
 }
 
 /// RAII handle for one running statement: on drop it deregisters the
-/// statement, folds its outcome into the query-stats history, and
-/// returns the admission reservation to the global pool.
+/// statement, folds its outcome into the query store, and returns the
+/// admission reservation to the global pool.
 ///
 /// Recording happens in `drop` — not on a success path — so a statement
 /// cancelled, killed or panicked mid-stream still lands in
@@ -245,7 +244,6 @@ pub struct StatementGuard {
     registry: Arc<StatementRegistry>,
     statement_id: i64,
     slot: Option<AdmissionSlot>,
-    history: Arc<QueryStatsHistory>,
     store: Arc<QueryStore>,
     sql: String,
     started: Instant,
@@ -288,20 +286,9 @@ impl Drop for StatementGuard {
             let elapsed = self.started.elapsed();
             let spill = self.gov.spill_tally();
             let disposition = self.gov.disposition();
-            self.history.record(
-                &self.sql,
-                &StatementOutcome {
-                    rows: self.rows,
-                    elapsed,
-                    spill_files: spill.files(),
-                    spill_bytes: spill.bytes(),
-                    peak_mem_bytes: self.gov.mem_peak() as u64,
-                },
-            );
-            // The persistent query store gets the same outcome plus the
-            // disposition and wait breakdown — this runs in `drop`, so
-            // statements killed by `KILL`, a dropped client or a server
-            // drain still land here (with disposition `killed`).
+            // This runs in `drop`, so statements killed by `KILL`, a
+            // dropped client or a server drain still land in the store
+            // (with disposition `killed`).
             self.store.record(
                 &self.sql,
                 &StoreOutcome {

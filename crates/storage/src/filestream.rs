@@ -39,9 +39,10 @@ use parking_lot::Mutex;
 use seqdb_types::{DbError, Result, Value};
 
 use crate::counters::{storage_counters, waits, WaitClass};
+use crate::durable::sync_dir;
 use crate::fault::FaultClock;
 use crate::scrub::Quarantine;
-use crate::sha256::{self, Sha256};
+use crate::sha256::{self, hash_file};
 
 /// Default read-ahead chunk for sequential access (64 KiB, matching the
 /// paper's observation that chunked reads beat per-line reads).
@@ -597,30 +598,6 @@ impl FileStreamReader {
         out.truncate(pos);
         Ok(out)
     }
-}
-
-/// SHA-256 of a file's contents, streamed in 64 KiB chunks.
-fn hash_file(path: &Path) -> Result<[u8; 32]> {
-    let mut f = File::open(path)?;
-    let mut hasher = Sha256::new();
-    let mut buf = vec![0u8; 64 * 1024];
-    loop {
-        let n = f.read(&mut buf)?;
-        if n == 0 {
-            break;
-        }
-        hasher.update(&buf[..n]);
-    }
-    Ok(hasher.finalize())
-}
-
-/// Sync a directory so a just-completed rename inside it is durable.
-fn sync_dir(dir: &Path) -> Result<()> {
-    #[cfg(unix)]
-    File::open(dir)?.sync_all()?;
-    #[cfg(not(unix))]
-    let _ = dir;
-    Ok(())
 }
 
 fn read_fully(file: &mut File, buf: &mut [u8]) -> Result<usize> {

@@ -21,6 +21,7 @@ pub mod btree;
 pub mod buffer;
 pub mod counters;
 pub mod crc32c;
+pub mod durable;
 pub mod fault;
 pub mod filestream;
 pub mod heap;

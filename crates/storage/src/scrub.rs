@@ -45,9 +45,9 @@ use crate::wal::WriteAheadLog;
 ///
 /// Keys are lowercase table names, or `filestream:<guid-string>` for
 /// blobs (which use page 0). Entries survive restarts via a text file of
-/// `object<TAB>page` lines rewritten atomically (tmp + rename) on every
-/// mutation; an in-memory database passes no path and keeps the list in
-/// memory only.
+/// `object<TAB>page` lines rewritten with [`crate::durable::replace_file`]
+/// on every mutation; an in-memory database passes no path and keeps the
+/// list in memory only.
 pub struct Quarantine {
     path: Option<PathBuf>,
     entries: Mutex<BTreeMap<String, BTreeSet<u64>>>,
@@ -160,10 +160,8 @@ impl Quarantine {
                 text.push('\n');
             }
         }
-        let tmp = path.with_extension("tmp");
-        if std::fs::write(&tmp, text).is_ok() {
-            let _ = std::fs::rename(&tmp, path);
-        }
+        // Best-effort, like the mutations that call it (see `add`).
+        let _ = crate::durable::replace_file(path, text.as_bytes());
     }
 }
 

@@ -6,6 +6,13 @@
 //! certify "this blob is byte-identical to what was imported". This is a
 //! plain software FIPS 180-4 implementation — no intrinsics — at a few
 //! hundred MB/s, which is plenty for a rate-limited background scrub.
+//! [`hash_file`] streams a file through it, for blobs and backup sets.
+
+use std::fs::File;
+use std::io::Read;
+use std::path::Path;
+
+use seqdb_types::Result;
 
 /// First 32 bits of the fractional parts of the cube roots of the first
 /// 64 primes (FIPS 180-4 §4.2.2).
@@ -214,6 +221,21 @@ pub fn sha256(data: &[u8]) -> [u8; 32] {
     let mut h = Sha256::new();
     h.update(data);
     h.finalize()
+}
+
+/// SHA-256 of a file's contents, streamed in 64 KiB chunks.
+pub fn hash_file(path: &Path) -> Result<[u8; 32]> {
+    let mut f = File::open(path)?;
+    let mut hasher = Sha256::new();
+    let mut buf = vec![0u8; 64 * 1024];
+    loop {
+        let n = f.read(&mut buf)?;
+        if n == 0 {
+            break;
+        }
+        hasher.update(&buf[..n]);
+    }
+    Ok(hasher.finalize())
 }
 
 /// Lowercase hex rendering of a digest — the on-disk sidecar format.

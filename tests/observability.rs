@@ -10,7 +10,7 @@ use std::time::{Duration, Instant};
 use proptest::prelude::*;
 use seqdb::core::dataset::{DgeDataset, Scale};
 use seqdb::core::{queries, workflow};
-use seqdb::engine::{Database, ExecContext, TableFunction, TvfCursor};
+use seqdb::engine::{fingerprint, Database, ExecContext, TableFunction, TvfCursor};
 use seqdb::sql::{DatabaseSqlExt, SessionSqlExt};
 use seqdb::types::{Column, DataType, DbError, Result, Row, Schema, Value};
 
@@ -317,16 +317,17 @@ fn kill_mid_spill_shows_spilling_state_and_still_records_query_stats() {
     assert!(matches!(err, DbError::Cancelled(_)), "{err}");
     assert_eq!(counter(&db, "statement_kills"), kills_before + 1);
 
-    // Satellite (b): the early-terminated statement must NOT silently
-    // lose its stats — the kill still lands in DM_EXEC_QUERY_STATS with
-    // its spill volume attributed.
+    // The early-terminated statement must NOT silently lose its stats —
+    // the kill still lands in DM_EXEC_QUERY_STATS (keyed by the
+    // statement's normalized text) with its spill volume attributed.
+    let victim_text = fingerprint(victim_sql).1;
     let r = killer
         .query_sql("SELECT sql_text, executions, total_spill_files FROM DM_EXEC_QUERY_STATS()")
         .unwrap();
     let row = r
         .rows
         .iter()
-        .find(|row| row[0].as_text().unwrap() == victim_sql)
+        .find(|row| row[0].as_text().unwrap() == victim_text)
         .expect("killed statement missing from query stats");
     assert_eq!(row[1], Value::Int(1), "one execution recorded");
     assert!(
@@ -366,14 +367,15 @@ fn counters_prove_no_leaks_after_spilling_workload() {
     assert_eq!(counter(&db, "tempspace_live_files"), 0);
 
     // The statement history aggregated all three executions of the
-    // (identical) statement text.
+    // statement under its fingerprint.
+    let text = fingerprint("SELECT id, COUNT(*), SUM(v) FROM t GROUP BY id").1;
     let r = db
         .query_sql("SELECT sql_text, executions, total_rows FROM DM_EXEC_QUERY_STATS()")
         .unwrap();
     let row = r
         .rows
         .iter()
-        .find(|row| row[0].as_text().unwrap().contains("GROUP BY id"))
+        .find(|row| row[0].as_text().unwrap() == text)
         .expect("statement missing from history");
     assert_eq!(row[1], Value::Int(3), "three executions folded together");
     assert_eq!(row[2], Value::Int(36_000), "12k rows per execution");

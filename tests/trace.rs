@@ -342,18 +342,15 @@ fn query_store_survives_restart_through_both_dmvs() {
     assert_eq!(row[2].as_int().unwrap(), 3, "persisted_executions");
     assert_eq!(row[3].as_int().unwrap(), 3, "one row per execution");
 
-    // DM_EXEC_QUERY_STATS: the persisted rows are distinguished from
-    // the (empty, post-restart) in-memory history by `as_of`.
+    // DM_EXEC_QUERY_STATS projects the same reloaded store entry.
     let r = c
-        .query("SELECT sql_text, executions, as_of FROM DM_EXEC_QUERY_STATS()")
+        .query("SELECT sql_text, executions FROM DM_EXEC_QUERY_STATS()")
         .unwrap();
     let row = r
         .rows
         .iter()
-        .find(|row| {
-            row[0].as_text().unwrap() == expected_text && row[2].as_text().unwrap() == "persisted"
-        })
-        .expect("persisted row missing from DM_EXEC_QUERY_STATS");
+        .find(|row| row[0].as_text().unwrap() == expected_text)
+        .expect("reloaded row missing from DM_EXEC_QUERY_STATS");
     assert_eq!(row[1].as_int().unwrap(), 3);
 
     server.drain().unwrap();
